@@ -7,7 +7,11 @@ Run from the root of a source checkout:
 
 One caller runs one CLI operation ("op") at a time, each a call of
 ``volsample.cli.main(argv)`` in this process with a new seed drawn from the
-workload seed, until ``--seconds`` have passed.  Every op's JSON report is
+workload seed, until ``--seconds`` have passed.  The op in flight at the
+deadline is finished and counted, so a run times at least one op and lasts
+longer than ``--seconds`` by up to one op (one op pair with ``--trace 1``):
+a ``verify_distribution`` op takes about 40 s, so its runs time a single
+op and its ``op_p50_s`` is that op's time.  Every op's JSON report is
 checked (see workloads.py); an op fails on a nonzero exit, an exception, a
 JSON error or a failed check.
 
@@ -159,7 +163,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, info: dict) 
     untraced, traced = [], []
     gc.collect()
     deadline = perf_counter() + seconds
-    while True:
+    while True:  # the op in flight at the deadline still counts
         op_seed = int(op_seeds.integers(2**31))
         untraced.append(run_op(cli, workload, ctx, op_seed, report_path))
         gc.collect()

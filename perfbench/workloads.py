@@ -87,10 +87,10 @@ class RegressWorkload:
     """Ridge regression over replicate subsets of three samplers per op."""
 
     algorithms = ("regvol", "fastregvol", "leverage")
+    lam = 1.0
 
-    def __init__(self, n: int = 10_000, d: int = 10, s: int = 20,
-                 lam: float = 1.0, replicates: int = 4):
-        self.n, self.d, self.s, self.lam, self.replicates = n, d, s, lam, replicates
+    def __init__(self, n: int = 10_000, d: int = 10, s: int = 20, replicates: int = 4):
+        self.n, self.d, self.s, self.replicates = n, d, s, replicates
         self.draws_per_op = len(self.algorithms) * replicates
 
     def setup(self, work: Path, seed: int) -> dict:
