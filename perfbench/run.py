@@ -16,11 +16,14 @@ checked (see workloads.py); an op fails on a nonzero exit, an exception, a
 JSON error or a failed check.
 
 With ``--trace 0`` the last line of stdout is a JSON object whose metrics
-are the end-to-end metrics of BENCHMARK.json.  With ``--trace 1`` every op
-seed runs twice, untraced then traced (see tracing.py); the metrics are the
-per-layer metrics, per traced op, plus the tracing overhead.  A results
-file with the machine description and every op time, and in traced runs
-the spans, go to perfbench/_work/.
+are the end-to-end metrics of BENCHMARK.json.  Their times are reference
+seconds: wall time scaled by the host's speed, sampled during the op or
+set-up by a fixed kernel (see probe.py); the raw wall times are printed
+and saved beside them.  With ``--trace 1`` every op seed runs twice,
+untraced then traced (see tracing.py), without the probe; the metrics are
+the per-layer metrics, per traced op, plus the tracing overhead in wall
+time.  A results file with the machine description and every op time, and
+in traced runs the spans, go to perfbench/_work/.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from probe import SpeedProbe  # noqa: E402
 from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -68,21 +72,27 @@ def import_seconds() -> float:
     return float(out.stdout.strip().splitlines()[-1])
 
 
-def run_op(cli, workload, ctx, op_seed: int, report_path: Path) -> dict:
-    """Run one CLI op in-process, time it, and check its report."""
+def run_op(cli, workload, ctx, op_seed: int, report_path: Path,
+           probe: SpeedProbe | None = None) -> dict:
+    """Run one CLI op in-process, time it, and check its report.
+
+    ``seconds`` is the op's wall time, or with a probe its reference time.
+    """
     argv = workload.argv(ctx, op_seed, report_path)
     report_path.unlink(missing_ok=True)
     sink = io.StringIO()
     error = None
-    t0 = perf_counter()
-    try:
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            rc = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects the command line
-        rc = exc.code if isinstance(exc.code, int) else 1
-    except Exception:  # a traceback from the program counts as a failed op
-        rc, error = None, traceback.format_exc(limit=3)
-    seconds = perf_counter() - t0
+    with probe.sampling() if probe else contextlib.nullcontext():
+        t0 = perf_counter()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            rc = exc.code if isinstance(exc.code, int) else 1
+        except Exception:  # a traceback from the program counts as a failed op
+            rc, error = None, traceback.format_exc(limit=3)
+        wall_s = perf_counter() - t0
+    seconds = probe.reference_seconds(wall_s) if probe else wall_s
     problems = [error] if error else []
     if rc != 0 and error is None:
         problems.append(f"exit code {rc}")
@@ -93,7 +103,8 @@ def run_op(cli, workload, ctx, op_seed: int, report_path: Path) -> dict:
             report = None
             problems.append(f"unreadable report: {exc}")
         problems += workload.check(ctx, report)
-    return {"seed": op_seed, "seconds": seconds, "ok": not problems, "problems": problems}
+    return {"seed": op_seed, "seconds": seconds, "wall_s": wall_s,
+            "ok": not problems, "problems": problems}
 
 
 def machine() -> dict:
@@ -147,12 +158,16 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, info: dict) 
 
     # Set-up: package import in a fresh interpreter plus input generation,
     # repeated so that the reported median is steady.
-    setups, imports = [], []
+    probe = None if trace else SpeedProbe()
+    setups, setup_walls, imports = [], [], []
     for _ in range(SETUP_REPS):
-        t_import = import_seconds()
-        t0 = perf_counter()
-        ctx = workload.setup(WORK, seed)
-        setups.append(t_import + perf_counter() - t0)
+        with probe.sampling() if probe else contextlib.nullcontext():
+            t_import = import_seconds()
+            t0 = perf_counter()
+            ctx = workload.setup(WORK, seed)
+            wall_s = t_import + perf_counter() - t0
+        setups.append(probe.reference_seconds(wall_s) if probe else wall_s)
+        setup_walls.append(wall_s)
         imports.append(t_import)
     sys.path.insert(0, str(SRC))
     import volsample.cli as cli
@@ -165,7 +180,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, info: dict) 
     deadline = perf_counter() + seconds
     while True:  # the op in flight at the deadline still counts
         op_seed = int(op_seeds.integers(2**31))
-        untraced.append(run_op(cli, workload, ctx, op_seed, report_path))
+        untraced.append(run_op(cli, workload, ctx, op_seed, report_path, probe))
         gc.collect()
         if tracer is not None:
             with tracer.installed(op_id=len(traced)):
@@ -186,6 +201,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, info: dict) 
         "ok_share": (len(ops) - failed) / len(ops),
         "setup_s": statistics.median(setups),
     }
+    wall = {"op_p50_s": statistics.median(op["wall_s"] for op in untraced),
+            "setup_s": statistics.median(setup_walls)}
     if tracer is None:
         values, units = end_to_end, metric_units("end_to_end")
     else:
@@ -200,11 +217,12 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, info: dict) 
     results = {
         "workload": name, "seed": seed, "seconds": seconds, "trace": trace,
         "machine": info, "import_s": imports, "setup_s": setups,
-        "ops": ops, "end_to_end": end_to_end, "metrics": metrics,
+        "setup_wall_s": setup_walls, "ops": ops, "end_to_end": end_to_end,
+        "wall": wall, "metrics": metrics,
     }
     (WORK / f"results-{tag}.json").write_text(json.dumps(results, indent=1) + "\n")
     return {"correct": failed == 0, "attempted": len(ops), "failed": failed,
-            "metrics": metrics}
+            "metrics": metrics, "wall": wall}
 
 
 def print_summary(name: str, result: dict) -> None:
@@ -213,6 +231,8 @@ def print_summary(name: str, result: dict) -> None:
           f"fail_share={failed / n_ops:.4g} correct={result['correct']}")
     for key, m in result["metrics"].items():
         print(f"[{name}] {key} = {m['value']:.6g} {m['unit']}")
+    for key, value in result["wall"].items():
+        print(f"[{name}] wall {key} = {value:.6g} s")
 
 
 def run_all(args) -> int:
@@ -249,6 +269,7 @@ def main(argv=None) -> int:
     result = run_workload(args.workload, args.seed, args.seconds, bool(args.trace), info)
     print(json.dumps({"machine": info}))
     print_summary(args.workload, result)
+    del result["wall"]
     print(json.dumps(result))
     return 0
 

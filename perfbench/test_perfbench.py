@@ -7,13 +7,16 @@ from __future__ import annotations
 
 import copy
 import json
+import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import probe  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 from workloads import RegressWorkload, SampleWorkload, VerifyWorkload  # noqa: E402
@@ -169,3 +172,42 @@ def test_every_per_layer_metric_is_reported(tmp_path):
     m.update({k: 0.0 for k in ("trace.op_p50_s", "trace.untraced_op_p50_s",
                                "trace.overhead")})
     assert set(run.metric_units("per_layer")) == set(m)
+
+
+def test_probe_samples_during_the_block_and_restores_the_alarm():
+    def mine(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGALRM, mine)
+    try:
+        speed = probe.SpeedProbe()
+        with speed.sampling():
+            end = time.perf_counter() + 10 * probe.INTERVAL_S
+            while time.perf_counter() < end:
+                pass
+        assert signal.getsignal(signal.SIGALRM) is mine
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert len(speed.samples) >= 2 + 5
+        assert speed.in_block == pytest.approx(sum(speed.samples[1:-1]))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_reference_seconds_scale_by_the_trimmed_kernel_mean():
+    speed = probe.SpeedProbe()
+    ref = probe.REFERENCE_KERNEL_S
+    # a machine at half the reference speed, one preempted sample
+    speed.samples = [2 * ref] * 9 + [1000 * ref]
+    speed.in_block = 0.5
+    assert speed.speed_factor() == pytest.approx(0.5)
+    assert speed.reference_seconds(4.5) == pytest.approx(2.0)
+
+
+def test_probed_op_reports_wall_and_reference_time(tmp_path):
+    workload = small_sample()
+    ctx = workload.setup(tmp_path, seed=3)
+    speed = probe.SpeedProbe()
+    rec = run.run_op(cli, workload, ctx, 7, tmp_path / "report.json", speed)
+    assert rec["ok"], rec["problems"]
+    assert rec["seconds"] == pytest.approx(speed.reference_seconds(rec["wall_s"]))
+    assert 0 < rec["seconds"] < 100 * rec["wall_s"]
