@@ -35,7 +35,6 @@ from .regression import (
     averaged_estimator,
     generate_noisy_problem,
     loo_identity_residual,
-    mean_loss,
     mse,
     mspe,
     solve_full,
@@ -49,9 +48,7 @@ from .sampling import (
     fast_reg_vol_sample,
     leverage_iid_sample,
     marginal_probabilities,
-    marginal_probability,
     reg_vol_sample,
-    removal_weights,
     sample,
 )
 
@@ -86,13 +83,10 @@ __all__ = [
     "leverage_iid_sample",
     "loo_identity_residual",
     "marginal_probabilities",
-    "marginal_probability",
-    "mean_loss",
     "mse",
     "mspe",
     "oracle_sample",
     "reg_vol_sample",
-    "removal_weights",
     "sample",
     "solve_full",
     "solve_subproblem",

@@ -69,10 +69,11 @@ def _load_problem(args) -> regression.RegressionProblem:
     return ds.problem
 
 
-def _sampler_config(args, algorithm=None) -> sampling.SamplerConfig:
-    return sampling.SamplerConfig(
-        s=args.size, lam=args.lam, seed=args.seed,
-        algorithm=algorithm or args.algorithm)
+def _draw(X, cfg: sampling.SamplerConfig, rng=None) -> sampling.SubsetSample:
+    """One sample; the ``oracle`` pseudo-algorithm draws from the exact law."""
+    if cfg.algorithm == "oracle":
+        return oracle.oracle_sample(X, cfg.s, cfg.lam, rng, seed=cfg.seed)
+    return sampling.sample(X, cfg, rng)
 
 
 def _dlambda_warning(X, s: int, lam: float) -> list[str]:
@@ -90,13 +91,11 @@ def cmd_sample(args) -> dict:
     t0 = time.perf_counter()
     p = _load_problem(args)
     t1 = time.perf_counter()
-    warnings = []
-    if args.algorithm == "oracle":
-        smp = oracle.oracle_sample(p.X, args.size, args.lam, seed=args.seed)
-    else:
-        cfg = _sampler_config(args)
-        warnings = _dlambda_warning(p.X, args.size, args.lam)
-        smp = sampling.sample(p.X, cfg)
+    warnings = ([] if args.algorithm == "oracle"
+                else _dlambda_warning(p.X, args.size, args.lam))
+    cfg = sampling.SamplerConfig(s=args.size, lam=args.lam, seed=args.seed,
+                                 algorithm=args.algorithm)
+    smp = _draw(p.X, cfg)
     t2 = time.perf_counter()
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -119,17 +118,9 @@ def cmd_sample(args) -> dict:
     }
 
 
-def _one_replicate(p, algorithm, s, lam, rng):
-    if algorithm == "oracle":
-        smp = oracle.oracle_sample(p.X, s, lam, rng)
-    else:
-        cfg = sampling.SamplerConfig(s=s, lam=lam, algorithm=algorithm)
-        smp = sampling.sample(p.X, cfg, rng)
-    est = regression.solve_subproblem(p, smp, lam)
-    return smp, est
-
-
 def cmd_regress(args) -> dict:
+    if args.replicates < 1:
+        raise InvalidConfig(f"--replicates must be at least 1, got {args.replicates}")
     t0 = time.perf_counter()
     p = _load_problem(args)
     t1 = time.perf_counter()
@@ -146,12 +137,13 @@ def cmd_regress(args) -> dict:
             warnings += [f"[{alg} lambda={lam}] {w}"
                          for w in _dlambda_warning(p.X, args.size, lam)
                          if alg in ("regvol", "fastregvol")]
+            cfg = sampling.SamplerConfig(s=args.size, lam=lam, algorithm=alg)
             losses = []
             samples = []
             for child in children:
-                rng = np.random.default_rng(child)
-                smp, est = _one_replicate(p, alg, args.size, lam, rng)
+                smp = _draw(p.X, cfg, np.random.default_rng(child))
                 samples.append(smp)
+                est = regression.solve_subproblem(p, smp, lam)
                 losses.append(regression.total_loss(p, est))
             losses = np.asarray(losses)
             se = float(losses.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
@@ -324,6 +316,8 @@ def _bench_once(alg: str, X, s: int, seed: int) -> float:
 
 
 def cmd_bench(args) -> dict:
+    if args.reps < 1:
+        raise InvalidConfig(f"--reps must be at least 1, got {args.reps}")
     sizes = [int(v) for v in args.sizes.split(",")]
     algorithms = args.algorithm.split(",")
     t0 = time.perf_counter()
@@ -383,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="draw one subset")
     add_data(p_sample)
     p_sample.add_argument("--algorithm", default="regvol",
-                          choices=("regvol", "fastregvol", "leverage", "oracle"))
+                          choices=sampling.ALGORITHMS + ("oracle",))
     add_common(p_sample)
     p_sample.set_defaults(func=cmd_sample)
 

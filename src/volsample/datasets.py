@@ -36,6 +36,16 @@ def _is_float(token: str) -> bool:
         return False
 
 
+def _reject_non_finite(values: np.ndarray, first_line: int) -> None:
+    """Raise ParseError at the first row holding a nan or an infinity.
+
+    Row r of ``values`` came from data line ``first_line + r``.
+    """
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ParseError("non-finite value", line=first_line + int(bad.argmax()))
+
+
 def parse_csv_text(text: str, source: str = "<string>") -> Dataset:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -64,6 +74,7 @@ def parse_csv_text(text: str, source: str = "<string>") -> Dataset:
     if not rows:
         raise ParseError("no data rows")
     arr = np.asarray(rows)
+    _reject_non_finite(arr, start + 1)
     problem = RegressionProblem(X=arr[:, :-1], y=arr[:, -1])
     return Dataset(problem=problem, source=source, format="csv",
                    feature_count=arr.shape[1] - 1, row_count=arr.shape[0])
@@ -103,7 +114,9 @@ def parse_libsvm_text(text: str, source: str = "<string>") -> Dataset:
     for r, row in enumerate(entries):
         for c, v in row.items():
             X[r, c] = v
-    problem = RegressionProblem(X=X, y=np.asarray(labels))
+    y = np.asarray(labels)
+    _reject_non_finite(np.column_stack([X, y]), 1)
+    problem = RegressionProblem(X=X, y=y)
     return Dataset(problem=problem, source=source, format="libsvm",
                    feature_count=max_col, row_count=len(entries))
 

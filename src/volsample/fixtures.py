@@ -58,10 +58,3 @@ def block_identity(n: int, d: int) -> np.ndarray:
 
 def gaussian_matrix(n: int, d: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((n, d))
-
-
-def gaussian_problem(n: int, d: int, seed: int = 0) -> RegressionProblem:
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, d))
-    y = rng.standard_normal(n)
-    return RegressionProblem(X=X, y=y)

@@ -9,6 +9,8 @@ volumes span many orders of magnitude.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -115,19 +117,16 @@ def quad_forms(X, Z) -> np.ndarray:
     return np.einsum("ij,ij->i", X @ Z, X)
 
 
-def sherman_morrison_downdate(Z, x, h: float) -> np.ndarray:
-    """Inverse after removing rank-one term xx' from the underlying matrix.
+def downdate(Z, x, h: float) -> np.ndarray:
+    """Remove the rank-one term xx' from the matrix that Z inverts, in place.
 
-    Given Z = (G)^{-1} and h = 1 - x'Zx, returns (G - xx')^{-1}
-    = Z + (Zx)(Zx)'/h.  Requires h above tolerance: h -> 0 means the
-    removal makes the matrix singular.
+    Given Z = G^{-1} and h = 1 - x'Zx, sets Z to (G - xx')^{-1}
+    = Z + vv' with v = Zx/sqrt(h), and returns v.  Requires h above
+    tolerance: h -> 0 means the removal makes the matrix singular.
     """
     if h <= WEIGHT_ZERO_TOL:
         raise SingularDowndate(f"removal weight {h:.3e} below tolerance")
-    Zx = Z @ x
-    return Z + np.outer(Zx, Zx) / h
-
-
-def refresh_interval(d: int) -> int:
-    """Downdates allowed before the inverse is recomputed from scratch."""
-    return max(d, 64)
+    v = Z @ x
+    v /= math.sqrt(h)
+    Z += v[:, None] * v
+    return v

@@ -41,20 +41,6 @@ MAX_SUBSETS = 10**6
 # processes would cost more than it saves
 PARALLEL_MIN_DRAWS = 10_000
 
-IDENTITIES = (
-    "PSEUDOINV_UNBIASED",
-    "COV_INVERSE",
-    "FROBENIUS",
-    "COVARIANCE",
-    "PROJ_SQUARE",
-    "LOSS_FACTOR",
-    "MARGINALS",
-    "COMPOSITION",
-    "REG_INVERSE_BOUND",
-    "NORMALIZATION",
-    "CAUCHY_BINET",
-)
-
 
 @dataclass(frozen=True)
 class ExactSubsetDistribution:
@@ -92,9 +78,6 @@ class IdentityReport:
     mode: str = "equality"  # or "inequality"
     psd_margin: Optional[float] = None
     detail: dict = field(default_factory=dict)
-
-    def deviations(self) -> tuple[float, float]:
-        return self.max_abs_dev, self.max_rel_dev
 
 
 def _check_enumeration_size(count: int) -> None:
@@ -518,7 +501,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _count_draws(sampler, X, cfg: sampling.SamplerConfig, start: int, stop: int,
+def _count_draws(X, cfg: sampling.SamplerConfig, start: int, stop: int,
                  base: sampling.DowndateState) -> dict[tuple[int, ...], int]:
     """Subset counts of replicates start..stop-1, keyed in first-seen order.
 
@@ -528,7 +511,7 @@ def _count_draws(sampler, X, cfg: sampling.SamplerConfig, start: int, stop: int,
     root = np.random.SeedSequence(cfg.seed, n_children_spawned=start)
     counts: dict[tuple[int, ...], int] = {}
     for child in root.spawn(stop - start):
-        smp = sampler(X, cfg, np.random.default_rng(child), _state=base.copy())
+        smp = sampling.sample(X, cfg, np.random.default_rng(child), _state=base.copy())
         counts[smp.indices] = counts.get(smp.indices, 0) + 1
     return counts
 
@@ -562,8 +545,7 @@ def empirical_distribution_test(X, cfg: sampling.SamplerConfig,
         p = scores / scores.sum()
         counts = np.zeros(n)
         for child in children:
-            smp = sampling.leverage_iid_sample(X, cfg.s, cfg.lam,
-                                               np.random.default_rng(child))
+            smp = sampling.sample(X, cfg, np.random.default_rng(child))
             for i in smp.indices:
                 counts[i] += 1
         total = counts.sum()
@@ -577,22 +559,20 @@ def empirical_distribution_test(X, cfg: sampling.SamplerConfig,
             off_support_draws=0, index_marginals=emp)
 
     dist = exact_distribution(X, cfg.s, cfg.lam)
-    sampler = {"regvol": sampling.reg_vol_sample,
-               "fastregvol": sampling.fast_reg_vol_sample}[cfg.algorithm]
     # the initial inverse and weights depend only on (X, lam): build once,
     # hand every draw a cheap copy
     base = sampling.init_downdate_state(X, cfg.lam,
                                         track_weights=cfg.algorithm == "regvol")
     chunks = _cpu_count() if draws >= PARALLEL_MIN_DRAWS else 1
     if chunks == 1:
-        parts = [_count_draws(sampler, X, cfg, 0, draws, base)]
+        parts = [_count_draws(X, cfg, 0, draws, base)]
     else:
         # imported here, as it costs every CLI start about 7 ms otherwise
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = [draws * j // chunks for j in range(chunks + 1)]
         with ProcessPoolExecutor(max_workers=chunks) as pool:
-            futures = [pool.submit(_count_draws, sampler, X, cfg, lo, hi, base)
+            futures = [pool.submit(_count_draws, X, cfg, lo, hi, base)
                        for lo, hi in zip(bounds, bounds[1:])]
             parts = [f.result() for f in futures]
     counts: dict[tuple[int, ...], int] = {}

@@ -112,10 +112,6 @@ def total_loss(p: RegressionProblem, e: Estimator) -> float:
     return float(r @ r)
 
 
-def mean_loss(p: RegressionProblem, e: Estimator) -> float:
-    return total_loss(p, e) / p.n
-
-
 def loo_identity_residual(p: RegressionProblem, i: int) -> float:
     """Deviation in the leave-one-out loss identity for row i.
 

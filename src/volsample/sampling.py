@@ -24,15 +24,13 @@ identical samples.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .errors import (AllWeightsZero, InvalidConfig, NotPositiveDefinite,
-                     SingularDowndate)
+from .errors import InvalidConfig, NotPositiveDefinite
 from .linalg import WEIGHT_ZERO_TOL
 
 ALGORITHMS = ("regvol", "fastregvol", "leverage")
@@ -87,6 +85,10 @@ class SubsetSample:
             raise InvalidConfig("indices length must equal s")
 
 
+# downdates allowed between recomputations of Z from scratch: max(d, this)
+REFRESH_MIN_INTERVAL = 64
+
+
 @dataclass
 class DowndateState:
     """Live state of reverse iterative removal (caller-owned, mutable).
@@ -106,7 +108,7 @@ class DowndateState:
     lam: float
     h: Optional[np.ndarray]
     downdates_since_refresh: int = 0
-    refresh_every: int = field(default=64)
+    refresh_every: int = REFRESH_MIN_INTERVAL
 
     @property
     def indices(self) -> list[int]:
@@ -125,7 +127,12 @@ class DowndateState:
         )
 
 
-def _clamp_weights(h: np.ndarray) -> np.ndarray:
+def _fresh_weights(rows: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Removal weights 1 - x_i'Zx_i of the given rows, clamped to [0, 1].
+
+    Sub-tolerance weights are set to exactly zero.
+    """
+    h = 1.0 - linalg.quad_forms(rows, Z)
     np.maximum(h, 0.0, out=h)
     np.minimum(h, 1.0, out=h)
     h[h < WEIGHT_ZERO_TOL] = 0.0
@@ -136,39 +143,22 @@ def init_downdate_state(X, lam: float = 0.0, track_weights: bool = True) -> Down
     X = linalg.as_matrix(X)
     n, d = X.shape
     Z = linalg.inv_spd(linalg.gram(X, lam))
-    h = None
-    if track_weights:
-        h = _clamp_weights(1.0 - linalg.quad_forms(X, Z))
     return DowndateState(
         active=np.arange(n, dtype=np.intp),
         size=n,
         rows=np.array(X, dtype=np.float64, copy=True),
         Z=Z,
         lam=lam,
-        h=h,
-        refresh_every=linalg.refresh_interval(d),
+        h=_fresh_weights(X, Z) if track_weights else None,
+        refresh_every=max(d, REFRESH_MIN_INTERVAL),
     )
-
-
-def removal_weights(state: DowndateState, X) -> np.ndarray:
-    """Fresh removal weights 1 - x_i'Zx_i over the active rows, clamped.
-
-    Normalizing by the sum gives the conditional removal distribution.
-    Raises AllWeightsZero when the sum is below tolerance (a volume-0
-    frontier at lam=0); callers fall back to uniform removal.
-    """
-    act = state.active[: state.size]
-    h = _clamp_weights(1.0 - linalg.quad_forms(X[act], state.Z))
-    if h.sum() <= WEIGHT_ZERO_TOL:
-        raise AllWeightsZero(f"all {state.size} removal weights vanished")
-    return h
 
 
 def _refresh(state: DowndateState) -> None:
     k = state.size
     state.Z = linalg.inv_spd(linalg.gram(state.rows[:k], state.lam))
     if state.h is not None:
-        state.h[:k] = _clamp_weights(1.0 - linalg.quad_forms(state.rows[:k], state.Z))
+        state.h[:k] = _fresh_weights(state.rows[:k], state.Z)
     state.downdates_since_refresh = 0
 
 
@@ -204,10 +194,7 @@ def remove_row(state: DowndateState, pos: int, h_i: Optional[float] = None) -> i
         if state.h is None:
             raise ValueError("h_i required when weights are not tracked")
         h_i = float(state.h[pos])
-    if h_i <= WEIGHT_ZERO_TOL:
-        raise SingularDowndate(f"removal weight {h_i:.3e} below tolerance")
-    v = state.Z @ state.rows[pos]
-    v /= math.sqrt(h_i)
+    v = linalg.downdate(state.Z, state.rows[pos], h_i)
     i = _swap_out(state, pos)
     k = state.size
 
@@ -219,7 +206,6 @@ def remove_row(state: DowndateState, pos: int, h_i: Optional[float] = None) -> i
         # roundoff can push weights a hair negative; sub-tolerance dust is
         # screened out again at selection time
         np.maximum(hk, 0.0, out=hk)
-    state.Z += v[:, None] * v
     state.downdates_since_refresh += 1
     if state.downdates_since_refresh >= state.refresh_every:
         _refresh(state)
@@ -333,8 +319,7 @@ def fast_reg_vol_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator
     if state.size > cfg.s:
         # weighted tail: the maintained inverse already covers the
         # remaining rows, only their weights need computing
-        k = state.size
-        state.h = _clamp_weights(1.0 - linalg.quad_forms(state.rows[:k], state.Z))
+        state.h = _fresh_weights(state.rows[: state.size], state.Z)
         removed.extend(_regvol_loop(cfg.s, state, rng))
     return SubsetSample(
         indices=tuple(state.indices),
@@ -391,16 +376,17 @@ def marginal_probabilities(X, s: int) -> np.ndarray:
     return (s - d) / (n - d) + (n - s) / (n - d) * lev
 
 
-def marginal_probability(X, s: int, i: int) -> float:
-    return float(marginal_probabilities(X, s)[i])
+def sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator] = None,
+           _state: Optional[DowndateState] = None) -> SubsetSample:
+    """Draw one sample with the sampler that cfg.algorithm names.
 
-
-def sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator] = None) -> SubsetSample:
-    """Dispatch on cfg.algorithm."""
+    ``_state`` hands a volume sampler a prepared initial state (the
+    leverage baseline keeps none).
+    """
     if cfg.algorithm == "regvol":
-        return reg_vol_sample(X, cfg, rng)
+        return reg_vol_sample(X, cfg, rng, _state)
     if cfg.algorithm == "fastregvol":
-        return fast_reg_vol_sample(X, cfg, rng)
+        return fast_reg_vol_sample(X, cfg, rng, _state)
     if cfg.algorithm == "leverage":
         return leverage_iid_sample(X, cfg.s, cfg.lam, rng, seed=cfg.seed)
     raise InvalidConfig(f"unknown algorithm {cfg.algorithm!r}")

@@ -38,6 +38,11 @@ class TestCsvParsing:
         with pytest.raises(ParseError, match="line 3"):
             datasets.parse_csv_text("1,2\n3,4\nfive,6\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_reports_line(self, token):
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            datasets.parse_csv_text(f"x,y\n1,2\n{token},6\n")
+
     def test_ragged_rows(self):
         with pytest.raises(DimensionMismatch):
             datasets.parse_csv_text("1,2,3\n4,5\n")
@@ -69,6 +74,22 @@ class TestLibsvmParsing:
     def test_empty(self):
         with pytest.raises(ParseError):
             datasets.parse_libsvm_text("\n\n")
+
+    @pytest.mark.parametrize("line", ["1.0 1:inf", "nan 1:2.0", "1.0 2:-inf 1:1"])
+    def test_non_finite_value_reports_line(self, line):
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            datasets.parse_libsvm_text(f"1.0 1:2.0\n{line}\n")
+
+
+@pytest.mark.parametrize("fmt,text", [("csv", "1,1,1\n1,nan,1\n1,0,0\n"),
+                                      ("libsvm", "1 1:1 2:1\n1 1:inf\n0 1:1\n")])
+def test_non_finite_input_is_json_parse_error(tmp_path, capsys, fmt, text):
+    path = tmp_path / f"data.{fmt}"
+    path.write_text(text)
+    rc = main(["sample", "--input", str(path), "--format", fmt, "--size", "2"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "parse_error" and err["message"].startswith("line 2:")
 
 
 def _load_report(path):
@@ -206,6 +227,13 @@ class TestRegressCommand:
         for entry in rep["results"]["regvol"].values():
             assert "averaged_total_loss" in entry
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_replicates_below_one_rejected(self, degenerate_csv, capsys, count):
+        rc = main(["regress", "--input", degenerate_csv, "--size", "2",
+                   "--replicates", count])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid_config"
+
 
 class TestBenchCommand:
     def test_small_grid(self, tmp_path):
@@ -217,6 +245,12 @@ class TestBenchCommand:
         rep = _load_report(out)
         assert "loglog_slope" in rep["results"]["fastregvol"]
         assert set(rep["results"]["ratio_regvol_over_fastregvol"]) == {"200", "400"}
+
+    def test_reps_below_one_rejected(self, capsys):
+        rc = main(["bench", "--algorithm", "regvol", "--sizes", "20",
+                   "--d", "4", "--s", "4", "--reps", "0"])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid_config"
 
     def test_s_larger_than_n_rejected(self, capsys):
         rc = main(["bench", "--algorithm", "regvol", "--sizes", "20",
