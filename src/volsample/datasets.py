@@ -8,6 +8,7 @@ LibSVM: ``<label> <index>:<value> ...`` with 1-based indices, densified to
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,27 +37,37 @@ def _is_float(token: str) -> bool:
         return False
 
 
-def _reject_non_finite(values: np.ndarray, first_line: int) -> None:
+def _numbered(text: str):
+    """Yield (1-based line number, line) for the non-blank lines of text."""
+    return ((no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+
+
+def _reject_non_finite(values: np.ndarray, text: str, first: int) -> None:
     """Raise ParseError at the first row holding a nan or an infinity.
 
-    Row r of ``values`` came from data line ``first_line + r``.
+    Row r of ``values`` came from non-blank line ``first + r`` of ``text``.
     """
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
-        raise ParseError("non-finite value", line=first_line + int(bad.argmax()))
+        index = first + int(bad.argmax())
+        lineno, _ = next(itertools.islice(_numbered(text), index, None))
+        raise ParseError("non-finite value", line=lineno)
 
 
 def parse_csv_text(text: str, source: str = "<string>") -> Dataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = _numbered(text)
+    head = next(lines, None)
+    if head is None:
         raise ParseError("empty file")
     start = 0
-    first = [t.strip() for t in lines[0].split(",")]
-    if not all(_is_float(t) for t in first):
+    first = [t.strip() for t in head[1].split(",")]
+    if all(_is_float(t) for t in first):
+        lines = itertools.chain([head], lines)
+    else:
         start = 1  # header line
     rows = []
     width = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in lines:
         tokens = [t.strip() for t in line.split(",")]
         try:
             vals = [float(t) for t in tokens]
@@ -74,20 +85,17 @@ def parse_csv_text(text: str, source: str = "<string>") -> Dataset:
     if not rows:
         raise ParseError("no data rows")
     arr = np.asarray(rows)
-    _reject_non_finite(arr, start + 1)
+    _reject_non_finite(arr, text, start)
     problem = RegressionProblem(X=arr[:, :-1], y=arr[:, -1])
     return Dataset(problem=problem, source=source, format="csv",
                    feature_count=arr.shape[1] - 1, row_count=arr.shape[0])
 
 
 def parse_libsvm_text(text: str, source: str = "<string>") -> Dataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty file")
     labels = []
     entries = []  # per-row {0-based col: value}
     max_col = 0
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in _numbered(text):
         tokens = line.split()
         try:
             labels.append(float(tokens[0]))
@@ -108,6 +116,8 @@ def parse_libsvm_text(text: str, source: str = "<string>") -> Dataset:
             row[idx - 1] = val
             max_col = max(max_col, idx)
         entries.append(row)
+    if not entries:
+        raise ParseError("empty file")
     if max_col == 0:
         raise ParseError("no features found")
     X = np.zeros((len(entries), max_col))
@@ -115,7 +125,7 @@ def parse_libsvm_text(text: str, source: str = "<string>") -> Dataset:
         for c, v in row.items():
             X[r, c] = v
     y = np.asarray(labels)
-    _reject_non_finite(np.column_stack([X, y]), 1)
+    _reject_non_finite(np.column_stack([X, y]), text, 0)
     problem = RegressionProblem(X=X, y=y)
     return Dataset(problem=problem, source=source, format="libsvm",
                    feature_count=max_col, row_count=len(entries))

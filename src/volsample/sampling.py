@@ -85,8 +85,15 @@ class SubsetSample:
             raise InvalidConfig("indices length must equal s")
 
 
-# downdates allowed between recomputations of Z from scratch: max(d, this)
+# downdates between recomputations of Z from scratch: at least max(d, this)
 REFRESH_MIN_INTERVAL = 64
+# after a clean refresh at k active rows the next one comes k // this
+# downdates later, so the refreshes of a draw cost O(n d^2) in total
+REFRESH_SHRINK = 8
+# largest measured drift (see _refresh) that counts as clean: weights off by
+# this much move the law of a 1e5-removal draw by about 1e-5 in TV when the
+# mean weight is at least 1/2
+DRIFT_TOL = 1e-10
 
 
 @dataclass
@@ -98,7 +105,9 @@ class DowndateState:
     matrix (kept packed so the weight update touches contiguous memory).
     ``Z`` is the inverse of the remaining rows' regularized Gram matrix.
     ``h[:size]`` are the maintained removal weights, aligned with
-    ``active``; the fast sampler runs without them.
+    ``active``; the fast sampler runs without them.  ``Z`` (and ``h``) are
+    recomputed from scratch after ``refresh_every`` downdates; each
+    refresh sets the next interval from the drift it measured.
     """
 
     active: np.ndarray
@@ -154,12 +163,32 @@ def init_downdate_state(X, lam: float = 0.0, track_weights: bool = True) -> Down
     )
 
 
-def _refresh(state: DowndateState) -> None:
+def _refresh(state: DowndateState) -> float:
+    """Recompute Z (and h) from the active rows; set the next interval.
+
+    The drift ||(Z_old - Z)G||_inf (max absolute row sum, G the fresh
+    regularized Gram matrix) bounds every active row's weight error:
+    |x'(Z_old - Z)x| <= rho((Z_old - Z)G) * x'G^{-1}x and the leverage
+    x'G^{-1}x is at most 1.  Tracked weights also count their own error.
+    A drift within DRIFT_TOL stretches the next interval to
+    k // REFRESH_SHRINK; any other keeps it at max(d, REFRESH_MIN_INTERVAL).
+    Returns the drift.
+    """
     k = state.size
-    state.Z = linalg.inv_spd(linalg.gram(state.rows[:k], state.lam))
+    rows = state.rows[:k]
+    G = linalg.gram(rows, state.lam)
+    Z = linalg.inv_spd(G)
+    drift = float(np.abs((state.Z - Z) @ G).sum(axis=1).max())
+    state.Z = Z
     if state.h is not None:
-        state.h[:k] = _fresh_weights(state.rows[:k], state.Z)
+        h = _fresh_weights(rows, Z)
+        drift = max(drift, float(np.abs(state.h[:k] - h).max()))
+        state.h[:k] = h
+    base = max(rows.shape[1], REFRESH_MIN_INTERVAL)
+    # a nan drift compares False and keeps the base interval
+    state.refresh_every = max(base, k // REFRESH_SHRINK) if drift <= DRIFT_TOL else base
     state.downdates_since_refresh = 0
+    return drift
 
 
 def _swap_out(state: DowndateState, pos: int) -> int:
@@ -186,9 +215,12 @@ def remove_row(state: DowndateState, pos: int, h_i: Optional[float] = None) -> i
 
     ``h_i`` is the removal weight of that row; it is looked up from the
     maintained weights when not supplied.  Returns the removed row index.
-    ``state.Z`` and ``state.h`` are updated in place.  Periodically
-    recomputes Z from scratch to stop floating-point drift over long
-    removal chains.
+    ``state.Z`` and ``state.h`` are updated in place.  Every
+    ``state.refresh_every`` downdates, Z (and h) are recomputed from
+    scratch to stop floating-point drift over long removal chains; the
+    interval grows to k // REFRESH_SHRINK while the measured drift stays
+    within DRIFT_TOL and falls back to max(d, REFRESH_MIN_INTERVAL)
+    otherwise (see ``_refresh``).
     """
     if h_i is None:
         if state.h is None:

@@ -47,6 +47,19 @@ class TestCsvParsing:
         with pytest.raises(DimensionMismatch):
             datasets.parse_csv_text("1,2,3\n4,5\n")
 
+    # blank lines count: errors name the physical line of the file
+    def test_bad_token_after_blank_line(self):
+        with pytest.raises(ParseError, match="line 3:"):
+            datasets.parse_csv_text("1,2\n\n3,x\n")
+
+    def test_non_finite_after_blank_lines(self):
+        with pytest.raises(ParseError, match="line 4: non-finite"):
+            datasets.parse_csv_text("1,2\n\n\n3,nan\n")
+
+    def test_ragged_row_after_header_and_blank_line(self):
+        with pytest.raises(DimensionMismatch, match="line 4:"):
+            datasets.parse_csv_text("a,b\n\n1,2\n3,4,5\n")
+
     def test_round_trip(self, tmp_path, degenerate_csv):
         ds = datasets.parse_dataset(degenerate_csv, "csv")
         out = tmp_path / "copy.csv"
@@ -74,6 +87,10 @@ class TestLibsvmParsing:
     def test_empty(self):
         with pytest.raises(ParseError):
             datasets.parse_libsvm_text("\n\n")
+
+    def test_malformed_pair_after_blank_line(self):
+        with pytest.raises(ParseError, match="line 3:"):
+            datasets.parse_libsvm_text("1 1:2\n\n1 1:x\n")
 
     @pytest.mark.parametrize("line", ["1.0 1:inf", "nan 1:2.0", "1.0 2:-inf 1:1"])
     def test_non_finite_value_reports_line(self, line):

@@ -325,3 +325,118 @@ class TestCallTimeLookup:
             cfg = SamplerConfig(s=3, seed=1, algorithm=alg)
             oracle.empirical_distribution_test(gauss83, cfg, draws)
         assert calls == dict.fromkeys(self.SAMPLERS, draws)
+
+
+# Designs whose removal chains pass many refreshes of Z (n = 3000, d = 10,
+# s = 20): a Gaussian one, one with singular values logspace(0, -6), and
+# 1000 Gaussian rows each repeated three times plus 1e-9 noise.  The digests
+# are sha256 over (indices, removal_order, rejection_trials) of seeds 0-9,
+# recorded when Z was still refreshed every max(d, 64) downdates, which
+# holds the drift-driven schedule to the same samples.
+LARGE_N, LARGE_D, LARGE_S = 3000, 10, 20
+
+
+def _large_designs():
+    gauss = np.random.default_rng(3000).standard_normal((LARGE_N, LARGE_D))
+    rng = np.random.default_rng(6)
+    U, _ = np.linalg.qr(rng.standard_normal((LARGE_N, LARGE_D)))
+    V, _ = np.linalg.qr(rng.standard_normal((LARGE_D, LARGE_D)))
+    cond = np.sqrt(LARGE_N) * (U * np.logspace(0, -6, LARGE_D)) @ V.T
+    base = np.random.default_rng(9).standard_normal((LARGE_N // 3, LARGE_D))
+    noise = 1e-9 * np.random.default_rng(10).standard_normal((LARGE_N, LARGE_D))
+    return {"gauss": gauss, "cond": cond, "dup": np.repeat(base, 3, axis=0) + noise}
+
+
+LARGE_X = _large_designs()
+LARGE_DIGESTS = {
+    ("gauss", "regvol", 0.0): "a9740d91cc10ae30381060838fa2b1e837cf694c82ba8940ba6714bfd4e184e0",
+    ("gauss", "fastregvol", 0.0): "18259bdeda496eb90255227e6243f840d03f5123636a2125fb26a45666bb5a46",
+    ("gauss", "regvol", 1.0): "c795dc79c25c6371753dd88830e60aaea08cd144520dbfb89dec78fca63e487b",
+    ("gauss", "fastregvol", 1.0): "7cb7537987cedcbb5946c1311cb5d9a538b479ea8077d7ba10a387d918cccfa2",
+    ("cond", "regvol", 0.0): "88018192ba450cad6eb200b419663b630141caa3a8d5926aedbe83a6eb05ee8c",
+    ("cond", "fastregvol", 0.0): "b9966766d646a2bfd9bfb8beb6a1c7bc8ccbbfefcac240b10ceb9f4d1999a2a4",
+    ("cond", "regvol", 1e-8): "eac89aa2cebb54ca871f999f9246091ce6dbfb35040aa58daf0a882926fefcd4",
+    ("cond", "fastregvol", 1e-8): "354a1b1197e825f601443a96cd823cd8f90b495073678e1897537da59addb953",
+    ("dup", "regvol", 0.0): "08cbcfa532c1f147c08c9e4ded05dcefcca08317edf54be58e54f13a4f577c9c",
+    ("dup", "fastregvol", 0.0): "3251687d138d5285dd37b6cf9d0a527b043545b6dd71ae22545d6c82c27ca70d",
+}
+
+
+@pytest.fixture
+def linalg_work(monkeypatch):
+    """Counts the rows passed to linalg.gram and the linalg.inv_spd calls."""
+    work = Counter()
+    gram, inv_spd = linalg.gram, linalg.inv_spd
+
+    def counted_gram(X, *args, **kwargs):
+        work["gram_rows"] += np.shape(X)[0]
+        return gram(X, *args, **kwargs)
+
+    def counted_inv_spd(*args, **kwargs):
+        work["inv_spd"] += 1
+        return inv_spd(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "gram", counted_gram)
+    monkeypatch.setattr(linalg, "inv_spd", counted_inv_spd)
+    return work
+
+
+class TestRefreshSchedule:
+    @pytest.mark.parametrize("design,algorithm,lam", list(LARGE_DIGESTS))
+    def test_large_draws_pinned(self, design, algorithm, lam, linalg_work):
+        draws, refreshes = [], []
+        for seed in range(10):
+            linalg_work.clear()
+            cfg = SamplerConfig(s=LARGE_S, lam=lam, seed=seed, algorithm=algorithm)
+            draws.append(sampling.sample(LARGE_X[design], cfg))
+            refreshes.append(linalg_work["inv_spd"] - 1)  # one inverse at init
+        text = repr([(d.indices, d.removal_order, d.rejection_trials) for d in draws])
+        assert hashlib.sha256(text.encode()).hexdigest() == LARGE_DIGESTS[design, algorithm, lam]
+        if design == "cond":
+            # the drift guard keeps the fixed max(d, 64) interval
+            assert refreshes == [(LARGE_N - LARGE_S) // 64] * 10
+        else:
+            assert max(refreshes) <= 40
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("algorithm,n", [("fastregvol", 4000), ("fastregvol", 16000),
+                                             ("fastregvol", 64000), ("regvol", 4000),
+                                             ("regvol", 16000)])
+    def test_gram_work_linear_in_n(self, algorithm, n, lam, linalg_work):
+        X = np.random.default_rng(n).standard_normal((n, 10))
+        sampling.sample(X, SamplerConfig(s=10, lam=lam, seed=0, algorithm=algorithm))
+        # a fixed interval of 64 would feed gram about n^2 / 128 rows
+        assert linalg_work["gram_rows"] <= 12 * n
+
+    @pytest.mark.parametrize("design", ["gauss", "cond"])
+    @pytest.mark.parametrize("track_weights", [False, True])
+    def test_drift_bounds_weight_error(self, design, track_weights):
+        state = sampling.init_downdate_state(LARGE_X[design])
+        state.refresh_every = LARGE_N  # no refresh while removing
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            sampling.remove_row(state, sampling._pick_weighted(state.h[: state.size], rng))
+        h_old = state.h[: state.size].copy()
+        if not track_weights:
+            state.h = None
+        Z_old = state.Z.copy()
+        drift = sampling._refresh(state)
+        err = np.abs(linalg.quad_forms(state.rows[: state.size], Z_old - state.Z))
+        assert 0.0 < err.max() <= drift
+        if track_weights:
+            assert np.abs(h_old - state.h[: state.size]).max() <= drift
+
+    @pytest.mark.parametrize("design,interval", [("gauss", (LARGE_N - 64) // 8),
+                                                 ("cond", 64)])
+    def test_interval_follows_drift(self, design, interval):
+        state = sampling.init_downdate_state(LARGE_X[design])
+        assert state.refresh_every == 64
+        rng = np.random.default_rng(2)
+        for _ in range(64):  # the 64th removal refreshes
+            sampling.remove_row(state, sampling._pick_weighted(state.h[: state.size], rng))
+        assert state.downdates_since_refresh == 0
+        assert state.refresh_every == interval
+        # a uniform removal leaves Z stale, so the next refresh reads dirty
+        sampling._swap_out(state, 0)
+        assert sampling._refresh(state) > sampling.DRIFT_TOL
+        assert state.refresh_every == 64
