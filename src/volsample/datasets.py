@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, ParseError, TooLarge
 from .regression import RegressionProblem
 
 FORMATS = ("csv", "libsvm")
@@ -120,7 +120,11 @@ def parse_libsvm_text(text: str, source: str = "<string>") -> Dataset:
         raise ParseError("empty file")
     if max_col == 0:
         raise ParseError("no features found")
-    X = np.zeros((len(entries), max_col))
+    try:
+        X = np.zeros((len(entries), max_col))
+    except (MemoryError, ValueError):  # refused, or past numpy's size limit
+        raise TooLarge(f"feature index {max_col} needs a dense {len(entries)} x "
+                       f"{max_col} matrix, which cannot be allocated") from None
     for r, row in enumerate(entries):
         for c, v in row.items():
             X[r, c] = v
@@ -143,15 +147,3 @@ def parse_dataset(path, format: str) -> Dataset:
         return parse_csv_text(text, source=str(path))
     return parse_libsvm_text(text, source=str(path))
 
-
-def write_csv(dataset: Dataset, path, header: bool = True) -> None:
-    """Serialize a dataset back to dense CSV (features then response)."""
-    p = dataset.problem
-    lines = []
-    if header:
-        cols = [f"x{j + 1}" for j in range(p.d)] + ["y"]
-        lines.append(",".join(cols))
-    for i in range(p.n):
-        vals = [repr(float(v)) for v in p.X[i]] + [repr(float(p.y[i]))]
-        lines.append(",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -38,7 +38,8 @@ class InvalidConfig(VolsampleError):
 
 
 class TooLarge(VolsampleError):
-    """Exact enumeration would exceed the hard subset-count guardrail."""
+    """Exact enumeration would exceed the hard subset-count guardrail, or a
+    dense matrix cannot be allocated."""
 
     code = "too_large"
 

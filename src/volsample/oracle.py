@@ -64,9 +64,6 @@ class ExactSubsetDistribution:
         for S in sorted(self.log_probs):
             yield S, math.exp(self.log_probs[S])
 
-    def total(self) -> float:
-        return math.exp(logsumexp(list(self.log_probs.values())))
-
 
 @dataclass
 class IdentityReport:
@@ -502,16 +499,18 @@ def _cpu_count() -> int:
 
 
 def _count_draws(X, cfg: sampling.SamplerConfig, start: int, stop: int,
-                 base: sampling.DowndateState) -> dict[tuple[int, ...], int]:
+                 base: Optional[sampling.DowndateState]) -> dict[tuple[int, ...], int]:
     """Subset counts of replicates start..stop-1, keyed in first-seen order.
 
     Replicate r draws from child r of SeedSequence(cfg.seed), spawned here
     so that a worker process receives two integers, not the streams.
+    ``base`` is the volume samplers' initial state (None for leverage).
     """
     root = np.random.SeedSequence(cfg.seed, n_children_spawned=start)
     counts: dict[tuple[int, ...], int] = {}
     for child in root.spawn(stop - start):
-        smp = sampling.sample(X, cfg, np.random.default_rng(child), _state=base.copy())
+        state = base.copy() if base is not None else None
+        smp = sampling.sample(X, cfg, np.random.default_rng(child), _state=state)
         counts[smp.indices] = counts.get(smp.indices, 0) + 1
     return counts
 
@@ -522,47 +521,36 @@ def empirical_distribution_test(X, cfg: sampling.SamplerConfig,
 
     Volume samplers are compared subset-by-subset (total variation and
     chi-square over the exact support); the i.i.d. leverage baseline is
-    compared on its per-index draw distribution.  Replicate r uses an
-    independent child stream of SeedSequence(cfg.seed), so the result is
-    deterministic per seed and merge-order independent.
+    compared on its per-index draw distribution.  The exact law is computed
+    before any draw.  Replicate r uses an independent child stream of
+    SeedSequence(cfg.seed), so the result is deterministic per seed and
+    merge-order independent.
 
-    From ``PARALLEL_MIN_DRAWS`` volume-sampler draws up, the replicates are
-    cut into contiguous chunks, one per available CPU, and each chunk is
+    From ``PARALLEL_MIN_DRAWS`` draws up, for every sampler, the replicates
+    are cut into contiguous chunks, one per available CPU, and each chunk is
     counted in a worker process; the workers have exited when this returns,
     and a sampler error raised in one reaches the caller as the same
     exception class.  The chunk counts are merged in chunk order, which
     gives the serial run's counts in the serial run's first-seen order, so
-    the report does not depend on how many CPUs there are.  Every draw
-    starts from its own copy of the initial state, which the removals
-    (``sampling.remove_row``) update in place, ``Z`` included.
+    the report does not depend on how many CPUs there are.  Every volume
+    draw starts from its own copy of one initial state (Z and all the
+    weights, built once here), which the removals (``sampling.remove_row``)
+    update in place; the rejection phase drops the copy's weights and the
+    weighted phase rebuilds them.
     """
     X = linalg.as_matrix(X)
     n, d = X.shape
 
-    if cfg.algorithm == "leverage":
-        children = np.random.SeedSequence(cfg.seed).spawn(draws)
+    leverage = cfg.algorithm == "leverage"
+    if leverage:
         scores = linalg.leverage_scores(X, cfg.lam)
         p = scores / scores.sum()
-        counts = np.zeros(n)
-        for child in children:
-            smp = sampling.sample(X, cfg, np.random.default_rng(child))
-            for i in smp.indices:
-                counts[i] += 1
-        total = counts.sum()
-        emp = counts / total
-        tv = 0.5 * float(np.abs(emp - p).sum())
-        chi2 = float(np.sum((counts - total * p) ** 2 / (total * p)))
-        return EmpiricalDistributionReport(
-            algorithm=cfg.algorithm, draws=draws, tv_distance=tv,
-            chi_square=chi2, dof=n - 1,
-            counts={int(i): int(c) for i, c in enumerate(counts)},
-            off_support_draws=0, index_marginals=emp)
-
-    dist = exact_distribution(X, cfg.s, cfg.lam)
-    # the initial inverse and weights depend only on (X, lam): build once,
-    # hand every draw a cheap copy
-    base = sampling.init_downdate_state(X, cfg.lam,
-                                        track_weights=cfg.algorithm == "regvol")
+        base = None
+    else:
+        dist = exact_distribution(X, cfg.s, cfg.lam)
+        # the initial inverse and weights depend only on (X, lam): build once,
+        # hand every draw a cheap copy
+        base = sampling.init_downdate_state(X, cfg.lam)
     chunks = _cpu_count() if draws >= PARALLEL_MIN_DRAWS else 1
     if chunks == 1:
         parts = [_count_draws(X, cfg, 0, draws, base)]
@@ -581,7 +569,20 @@ def empirical_distribution_test(X, cfg: sampling.SamplerConfig,
             counts[S] = counts.get(S, 0) + c
     marg = np.zeros(n)
     for S, c in counts.items():
-        marg[list(S)] += c
+        # unbuffered: a leverage multiset can repeat an index
+        np.add.at(marg, np.asarray(S, dtype=np.intp), c)
+
+    if leverage:
+        total = marg.sum()
+        emp = marg / total
+        tv = 0.5 * float(np.abs(emp - p).sum())
+        chi2 = float(np.sum((marg - total * p) ** 2 / (total * p)))
+        return EmpiricalDistributionReport(
+            algorithm=cfg.algorithm, draws=draws, tv_distance=tv,
+            chi_square=chi2, dof=n - 1,
+            counts={int(i): int(c) for i, c in enumerate(marg)},
+            off_support_draws=0, index_marginals=emp)
+
     tv = 0.0
     chi2 = 0.0
     off_support = 0

@@ -105,9 +105,11 @@ class DowndateState:
     matrix (kept packed so the weight update touches contiguous memory).
     ``Z`` is the inverse of the remaining rows' regularized Gram matrix.
     ``h[:size]`` are the maintained removal weights, aligned with
-    ``active``; the fast sampler runs without them.  ``Z`` (and ``h``) are
-    recomputed from scratch after ``refresh_every`` downdates; each
-    refresh sets the next interval from the drift it measured.
+    ``active``: built at init, set to None by the rejection phase (which
+    computes only the weight of each proposed row) and rebuilt for the
+    weighted phase.  ``Z`` (and ``h``) are recomputed from scratch after
+    ``refresh_every`` downdates; each refresh sets the next interval from
+    the drift it measured.
     """
 
     active: np.ndarray
@@ -148,7 +150,12 @@ def _fresh_weights(rows: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return h
 
 
-def init_downdate_state(X, lam: float = 0.0, track_weights: bool = True) -> DowndateState:
+def init_downdate_state(X, lam: float = 0.0) -> DowndateState:
+    """Full-set state: every row active, Z = (X'X + lam*I)^{-1}, all weights.
+
+    The weights are built here for both volume samplers; the rejection
+    phase drops them before its first removal.
+    """
     X = linalg.as_matrix(X)
     n, d = X.shape
     Z = linalg.inv_spd(linalg.gram(X, lam))
@@ -158,7 +165,7 @@ def init_downdate_state(X, lam: float = 0.0, track_weights: bool = True) -> Down
         rows=np.array(X, dtype=np.float64, copy=True),
         Z=Z,
         lam=lam,
-        h=_fresh_weights(X, Z) if track_weights else None,
+        h=_fresh_weights(X, Z),
         refresh_every=max(d, REFRESH_MIN_INTERVAL),
     )
 
@@ -262,79 +269,28 @@ def _pick_weighted(h_act: np.ndarray, rng: np.random.Generator) -> int:
     return pos
 
 
-def _try_refresh(state: DowndateState) -> bool:
-    try:
-        _refresh(state)
-        return True
-    except NotPositiveDefinite:
-        if state.h is not None:
-            state.h[: state.size] = 0.0
-        return False
+def _volume_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator],
+                   _state: Optional[DowndateState], algorithm: str) -> SubsetSample:
+    """Reverse iterative removal from the full set (or ``_state``) down to s rows.
 
-
-def _regvol_loop(s: int, state: DowndateState, rng: np.random.Generator) -> list[int]:
-    removed = []
-    degenerate = False
-    while state.size > s:
-        pos = -1 if degenerate else _pick_weighted(state.h[: state.size], rng)
-        if pos < 0:
-            # volume-0 frontier: all weights vanished, remove uniformly;
-            # the rank-one downdate is invalid there, so rebuild instead
-            pos = int(rng.integers(state.size))
-            removed.append(_swap_out(state, pos))
-            degenerate = not _try_refresh(state)
-            continue
-        removed.append(remove_row(state, pos))
-    return removed
-
-
-def _rng_for(cfg: SamplerConfig, rng: Optional[np.random.Generator]) -> np.random.Generator:
-    return rng if rng is not None else np.random.default_rng(cfg.seed)
-
-
-def reg_vol_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator] = None,
-                   _state: Optional[DowndateState] = None) -> SubsetSample:
-    """Volume-sample a size-s subset by weighted reverse iterative removal.
-
-    Maintains all removal weights, updating each by h_j -= (x_j'v)^2 after
-    a removal (v = Zx_i/sqrt(h_i)), so a step over t active rows costs
-    O(t*d).  Deterministic given (X, cfg.seed).
+    Rows above the cutoff -- max(s, 2d) for fastregvol, none for regvol --
+    are removed by rejection: propose a row uniformly, compute only its
+    weight, accept with that probability (weights are <= 1, and the mean
+    weight stays >= 1/2 above 2d rows).  The rest are removed by weight,
+    with every weight maintained by h_j -= (x_j'v)^2 (v = Zx_i/sqrt(h_i)),
+    so a weighted step over t active rows costs O(t*d).
     """
     X = linalg.as_matrix(X)
     n, d = X.shape
     cfg.validate(n, d)
-    rng = _rng_for(cfg, rng)
+    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     state = _state if _state is not None else init_downdate_state(X, cfg.lam)
-    removed = _regvol_loop(cfg.s, state, rng)
-    return SubsetSample(
-        indices=tuple(state.indices),
-        s=cfg.s,
-        lam=cfg.lam,
-        algorithm="regvol",
-        seed=cfg.seed,
-        removal_order=tuple(removed),
-    )
-
-
-def fast_reg_vol_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator] = None,
-                        _state: Optional[DowndateState] = None) -> SubsetSample:
-    """Same law as reg_vol_sample via per-step rejection sampling.
-
-    While more than max(s, 2d) rows remain, proposes a row uniformly,
-    computes only its weight, and accepts with that probability (weights
-    are <= 1, and the mean weight stays >= 1/2 above 2d rows).  The tail
-    of the removal chain is handed to the weighted sampler.  Records the
-    total number of proposal trials.
-    """
-    X = linalg.as_matrix(X)
-    n, d = X.shape
-    cfg.validate(n, d)
-    rng = _rng_for(cfg, rng)
-    state = _state if _state is not None else init_downdate_state(X, cfg.lam,
-                                                                  track_weights=False)
-    cutoff = max(cfg.s, 2 * d)
+    fast = algorithm == "fastregvol"
+    cutoff = max(cfg.s, 2 * d) if fast else state.size
     trials = 0
     removed = []
+    if state.size > cutoff:
+        state.h = None  # not maintained while rows are removed by rejection
     while state.size > cutoff:
         while True:
             trials += 1
@@ -348,20 +304,52 @@ def fast_reg_vol_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator
                 break
         removed.append(remove_row(state, pos, h_i=h_i))
 
-    if state.size > cfg.s:
-        # weighted tail: the maintained inverse already covers the
-        # remaining rows, only their weights need computing
+    if state.size > cfg.s and state.h is None:
+        # the maintained inverse already covers the remaining rows
         state.h = _fresh_weights(state.rows[: state.size], state.Z)
-        removed.extend(_regvol_loop(cfg.s, state, rng))
+    while state.size > cfg.s:
+        pos = _pick_weighted(state.h[: state.size], rng)
+        if pos >= 0:
+            removed.append(remove_row(state, pos))
+            continue
+        # volume-0 frontier: all weights vanished, remove uniformly; the
+        # rank-one downdate is invalid there, so rebuild instead.  A failed
+        # rebuild zeroes the weights, which keeps the next removals uniform
+        pos = int(rng.integers(state.size))
+        removed.append(_swap_out(state, pos))
+        try:
+            _refresh(state)
+        except NotPositiveDefinite:
+            state.h[: state.size] = 0.0
     return SubsetSample(
         indices=tuple(state.indices),
         s=cfg.s,
         lam=cfg.lam,
-        algorithm="fastregvol",
+        algorithm=algorithm,
         seed=cfg.seed,
-        rejection_trials=trials,
+        rejection_trials=trials if fast else None,
         removal_order=tuple(removed),
     )
+
+
+def reg_vol_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator] = None,
+                   _state: Optional[DowndateState] = None) -> SubsetSample:
+    """Volume-sample a size-s subset by weighted reverse iterative removal.
+
+    Every removal is drawn from the maintained weights, at O(t*d) per
+    step over t active rows.  Deterministic given (X, cfg.seed).
+    """
+    return _volume_sample(X, cfg, rng, _state, "regvol")
+
+
+def fast_reg_vol_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator] = None,
+                        _state: Optional[DowndateState] = None) -> SubsetSample:
+    """Same law as reg_vol_sample via per-step rejection sampling.
+
+    Removes rows by rejection while more than max(s, 2d) remain, then by
+    weight.  Records the total number of proposal trials.
+    """
+    return _volume_sample(X, cfg, rng, _state, "fastregvol")
 
 
 def leverage_iid_sample(X, s: int, lam: float = 0.0,

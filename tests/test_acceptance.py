@@ -228,7 +228,7 @@ def test_criterion_09_rejection_trial_count(n):
     d = 5
     X = fixtures.gaussian_matrix(n, d, seed=n)
     runs = 200
-    base = sampling.init_downdate_state(X, 0.0, track_weights=False)
+    base = sampling.init_downdate_state(X, 0.0)
     trials = np.empty(runs)
     children = np.random.SeedSequence(9000 + n).spawn(runs)
     for r, child in enumerate(children):

@@ -62,7 +62,7 @@ class TestExactDistribution:
 
     def test_regularized_below_d(self, gauss83):
         dist = oracle.exact_distribution(gauss83, 2, lam=1.0)
-        assert dist.total() == pytest.approx(1.0, abs=1e-10)
+        assert math.fsum(p for _, p in dist.items()) == pytest.approx(1.0, abs=1e-10)
         assert all(len(S) == 2 for S in dist.support())
 
 
@@ -193,10 +193,11 @@ class TestEmpirical:
         b = oracle.empirical_distribution_test(gauss83, cfg, draws=2000)
         assert a.counts == b.counts and a.tv_distance == b.tv_distance
 
-    def test_report_independent_of_cpu_count(self, gauss83, monkeypatch):
+    @pytest.mark.parametrize("algorithm", sampling.ALGORITHMS)
+    def test_report_independent_of_cpu_count(self, gauss83, monkeypatch, algorithm):
         # one more draw than the threshold, so two chunks split unevenly
         draws = oracle.PARALLEL_MIN_DRAWS + 1
-        cfg = sampling.SamplerConfig(s=4, seed=31, algorithm="fastregvol")
+        cfg = sampling.SamplerConfig(s=4, seed=31, algorithm=algorithm)
         reports = []
         for cpus in (1, 2):
             monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
@@ -207,6 +208,9 @@ class TestEmpirical:
         assert one.tv_distance == two.tv_distance
         assert one.chi_square == two.chi_square
         assert np.array_equal(one.index_marginals, two.index_marginals)
+        if algorithm == "leverage":
+            # a multiset can repeat an index, and every copy counts
+            assert sum(one.counts.values()) == cfg.s * draws
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_sampler_error_reaches_caller(self, gauss83, monkeypatch, cpus):

@@ -287,6 +287,56 @@ class TestGoldenOutputs:
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[algorithm, lam]
 
 
+# Draws on np.eye(n) at lam = 1e-13, where every weight is below
+# WEIGHT_ZERO_TOL from the start and Z cannot be rebuilt once a row is gone,
+# so every removal takes the uniform volume-0 fallback.  sha256 over
+# (indices, removal_order, rejection_trials) of seeds 0-49.
+FALLBACK_DIGESTS = {
+    (3, 1, "regvol"): "1ab6644a6824fb462b0fb224bac0db95fb8aadd0496bc75ecf4551a0fa3c50f6",
+    (3, 1, "fastregvol"): "5d66cc6f5d0dfdb411d45342dfa93a87e269c3d034a08fb68fda6dbdbfb6658e",
+    (4, 2, "regvol"): "668808b0fe43a2ce3372fb8d0c78cd8dfb2a9c27008ac7ee9d0ffcd182c82ad2",
+    (4, 2, "fastregvol"): "9adc911b2a7daed45e9d940af8f838bd67dd88a2aa76e72e16e1bfac8e6dc129",
+}
+
+
+class TestVolumeZeroFallback:
+    @pytest.mark.parametrize("n,s,algorithm", list(FALLBACK_DIGESTS))
+    def test_uniform_removals_pinned(self, n, s, algorithm, monkeypatch):
+        calls = Counter()
+        remove_row = sampling.remove_row
+
+        def counted(*args, **kwargs):
+            calls["remove_row"] += 1
+            return remove_row(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "remove_row", counted)
+        draws = [sampling.sample(np.eye(n), SamplerConfig(s=s, lam=1e-13, seed=seed,
+                                                          algorithm=algorithm))
+                 for seed in range(50)]
+        text = repr([(d.indices, d.removal_order, d.rejection_trials) for d in draws])
+        assert hashlib.sha256(text.encode()).hexdigest() == FALLBACK_DIGESTS[n, s, algorithm]
+        assert all(len(d.removal_order) == n - s for d in draws)
+        assert calls["remove_row"] == 0  # no downdate: every removal is uniform
+
+
+class TestVolumeSamplerProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(("regvol", "fastregvol")), st.integers(1, 4),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_draw_is_full_rank_subset(self, algorithm, d, seed, data):
+        n = data.draw(st.integers(d, 3 * d + 10), label="n")
+        s = data.draw(st.integers(d, n), label="s")
+        X = fixtures.gaussian_matrix(n, d, seed=seed)
+        # repeated rows: a subset holding two copies has less volume, and
+        # at s = d none at all
+        dup = data.draw(st.integers(0, n - d), label="repeated rows")
+        X[n - dup:] = X[:dup]
+        smp = sampling.sample(X, SamplerConfig(s=s, seed=seed, algorithm=algorithm))
+        assert len(smp.indices) == len(set(smp.indices)) == s
+        assert all(0 <= i < n for i in smp.indices)
+        assert np.linalg.matrix_rank(X[list(smp.indices)]) == d
+
+
 class TestCallTimeLookup:
     """Every draw reaches the sampler through its ``volsample.sampling``
     attribute at call time, so a wrapper patched there sees it (the
@@ -409,21 +459,21 @@ class TestRefreshSchedule:
         assert linalg_work["gram_rows"] <= 12 * n
 
     @pytest.mark.parametrize("design", ["gauss", "cond"])
-    @pytest.mark.parametrize("track_weights", [False, True])
-    def test_drift_bounds_weight_error(self, design, track_weights):
+    @pytest.mark.parametrize("keep_weights", [False, True])
+    def test_drift_bounds_weight_error(self, design, keep_weights):
         state = sampling.init_downdate_state(LARGE_X[design])
         state.refresh_every = LARGE_N  # no refresh while removing
         rng = np.random.default_rng(1)
         for _ in range(500):
             sampling.remove_row(state, sampling._pick_weighted(state.h[: state.size], rng))
         h_old = state.h[: state.size].copy()
-        if not track_weights:
+        if not keep_weights:
             state.h = None
         Z_old = state.Z.copy()
         drift = sampling._refresh(state)
         err = np.abs(linalg.quad_forms(state.rows[: state.size], Z_old - state.Z))
         assert 0.0 < err.max() <= drift
-        if track_weights:
+        if keep_weights:
             assert np.abs(h_old - state.h[: state.size]).max() <= drift
 
     @pytest.mark.parametrize("design,interval", [("gauss", (LARGE_N - 64) // 8),
