@@ -69,10 +69,11 @@ def _load_problem(args) -> regression.RegressionProblem:
     return ds.problem
 
 
-def _draw(X, cfg: sampling.SamplerConfig, rng=None) -> sampling.SubsetSample:
-    """One sample; the ``oracle`` pseudo-algorithm draws from the exact law."""
+def _draw(X, cfg: sampling.SamplerConfig, rng=None, dist=None) -> sampling.SubsetSample:
+    """One sample; the ``oracle`` pseudo-algorithm draws from the exact law
+    (``dist`` if the caller has built it)."""
     if cfg.algorithm == "oracle":
-        return oracle.oracle_sample(X, cfg.s, cfg.lam, rng, seed=cfg.seed)
+        return oracle.oracle_sample(X, cfg.s, cfg.lam, rng, seed=cfg.seed, dist=dist)
     return sampling.sample(X, cfg, rng)
 
 
@@ -138,10 +139,12 @@ def cmd_regress(args) -> dict:
                          for w in _dlambda_warning(p.X, args.size, lam)
                          if alg in ("regvol", "fastregvol")]
             cfg = sampling.SamplerConfig(s=args.size, lam=lam, algorithm=alg)
+            # the exact law depends on (X, s, lam) only: one per replicate set
+            dist = oracle.exact_distribution(p.X, args.size, lam) if alg == "oracle" else None
             losses = []
             samples = []
             for child in children:
-                smp = _draw(p.X, cfg, np.random.default_rng(child))
+                smp = _draw(p.X, cfg, np.random.default_rng(child), dist)
                 samples.append(smp)
                 est = regression.solve_subproblem(p, smp, lam)
                 losses.append(regression.total_loss(p, est))

@@ -10,11 +10,12 @@ volumes span many orders of magnitude.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NotPositiveDefinite, SingularDowndate
+from .errors import NotPositiveDefinite, SingularDowndate, TooLarge
 
 # Cholesky pivot threshold, relative to the largest diagonal entry.
 PD_PIVOT_RTOL = 1e-12
@@ -43,11 +44,18 @@ def as_vector(x) -> np.ndarray:
 
 
 def gram(X, lam: float = 0.0) -> np.ndarray:
-    """Return X'X + lam*I, symmetrized after accumulation."""
+    """Return X'X + lam*I, symmetrized after accumulation.
+
+    Raises TooLarge when numpy cannot allocate the d x d result.
+    """
     X = as_matrix(X)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    G = X.T @ X
+    try:
+        G = X.T @ X
+    except MemoryError as exc:
+        d = X.shape[1]
+        raise TooLarge(f"cannot allocate the {d} x {d} Gram matrix") from exc
     G = 0.5 * (G + G.T)
     if lam > 0:
         G = G + lam * np.eye(X.shape[1])
@@ -117,16 +125,19 @@ def quad_forms(X, Z) -> np.ndarray:
     return np.einsum("ij,ij->i", X @ Z, X)
 
 
-def downdate(Z, x, h: float) -> np.ndarray:
+def downdate(Z, x, h: Optional[float] = None) -> np.ndarray:
     """Remove the rank-one term xx' from the matrix that Z inverts, in place.
 
-    Given Z = G^{-1} and h = 1 - x'Zx, sets Z to (G - xx')^{-1}
-    = Z + vv' with v = Zx/sqrt(h), and returns v.  Requires h above
-    tolerance: h -> 0 means the removal makes the matrix singular.
+    Given Z = G^{-1} and h = 1 - x'Zx (computed from Z when not given),
+    sets Z to (G - xx')^{-1} = Z + vv' with v = Zx/sqrt(h), and returns v.
+    Requires h above tolerance: h -> 0 means the removal makes the matrix
+    singular.
     """
+    v = Z @ x
+    if h is None:
+        h = 1.0 - float(x @ v)
     if h <= WEIGHT_ZERO_TOL:
         raise SingularDowndate(f"removal weight {h:.3e} below tolerance")
-    v = Z @ x
     v /= math.sqrt(h)
     Z += v[:, None] * v
     return v

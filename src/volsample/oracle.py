@@ -465,10 +465,16 @@ def verify_identity(identity: str, X, y=None, s: Optional[int] = None,
 
 def oracle_sample(X, s: int, lam: float = 0.0,
                   rng: Optional[np.random.Generator] = None,
-                  seed: int = 0) -> sampling.SubsetSample:
-    """Draw one subset directly from the enumerated exact law."""
+                  seed: int = 0,
+                  dist: Optional[ExactSubsetDistribution] = None) -> sampling.SubsetSample:
+    """Draw one subset directly from the enumerated exact law.
+
+    ``dist`` is that law, ``exact_distribution(X, s, lam)``, when the
+    caller has built it already; it is enumerated here otherwise.
+    """
     rng = rng if rng is not None else np.random.default_rng(seed)
-    dist = exact_distribution(X, s, lam)
+    if dist is None:
+        dist = exact_distribution(X, s, lam)
     subsets = dist.support()
     probs = np.array([math.exp(dist.log_probs[S]) for S in subsets])
     c = np.cumsum(probs)
@@ -535,8 +541,8 @@ def empirical_distribution_test(X, cfg: sampling.SamplerConfig,
     the report does not depend on how many CPUs there are.  Every volume
     draw starts from its own copy of one initial state (Z and all the
     weights, built once here), which the removals (``sampling.remove_row``)
-    update in place; the rejection phase drops the copy's weights and the
-    weighted phase rebuilds them.
+    update in place; the fast sampler's rejection phase decides its first
+    proposals from the copy's weights.
     """
     X = linalg.as_matrix(X)
     n, d = X.shape

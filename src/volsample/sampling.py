@@ -15,6 +15,19 @@ which is the ratio of the regularized subset volumes after and before the
 removal.  For lam=0 the resulting size-s law is
 P(S) = det(X_S'X_S) / (C(n-d, s-d) det(X'X)).
 
+Removals by weight keep Z = (X_S'X_S + lam*I)^{-1} and every weight
+current by rank-one downdates, recomputed from scratch on a drift-guarded
+schedule (``_refresh``).  The fast sampler's rejection phase, above
+max(s, 2d) rows, defers the downdates instead.  It keeps the weights h0
+of its last sync (a fresh Gram matrix G0, its inverse and the weights of
+the active rows) and a bound mu on lambda_max(G0^{-1/2} B'B G0^{-1/2}),
+B the rows removed since.  Every current weight lies between
+1 - (1 - h0)/(1 - mu) and h0, which decides almost every proposal; the
+rest are compared with the exact weight 1 - x'(G0 - B'B)^{-1}x.  A resync
+follows once the exact eigenvalue reaches 1/2 (for the phase's last
+removal, 1), and the hand-over to the removals by weight downdates Z by
+the rows removed since the last sync.
+
 RNG contract: a seeded numpy Generator (PCG64).  reg_vol_sample draws one
 uniform per removal (cumulative-sum inversion); fast_reg_vol_sample draws
 one integer per proposal and one uniform per Bernoulli accept; leverage
@@ -28,9 +41,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
-from .errors import InvalidConfig, NotPositiveDefinite
+from .errors import AllWeightsZero, InvalidConfig, NotPositiveDefinite
 from .linalg import WEIGHT_ZERO_TOL
 
 ALGORITHMS = ("regvol", "fastregvol", "leverage")
@@ -94,32 +108,46 @@ REFRESH_SHRINK = 8
 # this much move the law of a 1e5-removal draw by about 1e-5 in TV when the
 # mean weight is at least 1/2
 DRIFT_TOL = 1e-10
+# the rejection phase replaces its trace bound on the removed block's
+# eigenvalue by the exact value once the bound reaches this, and resyncs
+# once the exact value does (before its last removal: once either reaches 1)
+MU_RESYNC = 0.5
+# proposals rejected in a row after which the rejection phase raises
+# AllWeightsZero: the mean weight is at least 1/2 above 2d rows, so a sound
+# draw gets there with chance at most 2**-REJECTION_CAP per removal
+REJECTION_CAP = 1000
 
 
 @dataclass
 class DowndateState:
     """Live state of reverse iterative removal (caller-owned, mutable).
 
-    ``active[:size]`` are the remaining row indices in removal-stream
-    order, and ``rows[:size]`` holds the corresponding rows of the design
-    matrix (kept packed so the weight update touches contiguous memory).
-    ``Z`` is the inverse of the remaining rows' regularized Gram matrix.
-    ``h[:size]`` are the maintained removal weights, aligned with
-    ``active``: built at init, set to None by the rejection phase (which
-    computes only the weight of each proposed row) and rebuilt for the
-    weighted phase.  ``Z`` (and ``h``) are recomputed from scratch after
-    ``refresh_every`` downdates; each refresh sets the next interval from
-    the drift it measured.
+    ``active[:size]`` are the remaining row indices of the design matrix
+    ``X`` in removal-stream order, and ``rows[:size]`` holds copies of
+    those rows (kept packed so the weight update touches contiguous
+    memory).  ``G`` is the regularized Gram matrix of the active rows at
+    the last rebuild (init, refresh or resync), ``Z`` the inverse of the
+    current one, and ``h[:size]`` the removal weights, aligned with
+    ``active``.  Each removal downdates Z and h; they are rebuilt from
+    scratch after ``refresh_every`` downdates, and each refresh sets the
+    next interval from the drift it measured.  While ``deferred`` is set
+    (the fast sampler's rejection phase) a removal only swaps ``active``
+    and ``h`` entries: G, Z, h and ``rows`` still describe the rows active
+    at the last rebuild, and rows are read from ``X`` until a resync
+    packs them again.
     """
 
     active: np.ndarray
     size: int
+    X: np.ndarray
     rows: np.ndarray
+    G: np.ndarray
     Z: np.ndarray
     lam: float
     h: Optional[np.ndarray]
     downdates_since_refresh: int = 0
     refresh_every: int = REFRESH_MIN_INTERVAL
+    deferred: bool = False
 
     @property
     def indices(self) -> list[int]:
@@ -129,12 +157,15 @@ class DowndateState:
         return DowndateState(
             active=self.active.copy(),
             size=self.size,
+            X=self.X,
             rows=self.rows.copy(),
+            G=self.G,  # replaced, never written in place
             Z=self.Z.copy(),
             lam=self.lam,
             h=None if self.h is None else self.h.copy(),
             downdates_since_refresh=self.downdates_since_refresh,
             refresh_every=self.refresh_every,
+            deferred=self.deferred,
         )
 
 
@@ -143,35 +174,55 @@ def _fresh_weights(rows: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
     Sub-tolerance weights are set to exactly zero.
     """
-    h = 1.0 - linalg.quad_forms(rows, Z)
+    h = linalg.quad_forms(rows, Z)
+    np.subtract(1.0, h, out=h)
     np.maximum(h, 0.0, out=h)
     np.minimum(h, 1.0, out=h)
     h[h < WEIGHT_ZERO_TOL] = 0.0
     return h
 
 
-def init_downdate_state(X, lam: float = 0.0) -> DowndateState:
-    """Full-set state: every row active, Z = (X'X + lam*I)^{-1}, all weights.
+def _rebuild(rows: np.ndarray, lam: float):
+    """Gram matrix, its inverse and the removal weights of ``rows``."""
+    G = linalg.gram(rows, lam)
+    Z = linalg.inv_spd(G)
+    return G, Z, _fresh_weights(rows, Z)
 
-    The weights are built here for both volume samplers; the rejection
-    phase drops them before its first removal.
-    """
+
+def init_downdate_state(X, lam: float = 0.0) -> DowndateState:
+    """Full-set state: every row active, G = X'X + lam*I, Z = G^{-1}, all weights."""
     X = linalg.as_matrix(X)
     n, d = X.shape
-    Z = linalg.inv_spd(linalg.gram(X, lam))
+    rows = np.array(X, dtype=np.float64, copy=True)
+    G, Z, h = _rebuild(rows, lam)
     return DowndateState(
         active=np.arange(n, dtype=np.intp),
         size=n,
-        rows=np.array(X, dtype=np.float64, copy=True),
+        X=X,
+        rows=rows,
+        G=G,
         Z=Z,
         lam=lam,
-        h=_fresh_weights(X, Z),
+        h=h,
         refresh_every=max(d, REFRESH_MIN_INTERVAL),
     )
 
 
+def _resync(state: DowndateState) -> None:
+    """Rebuild G, Z (and h) from the active rows; restart the refresh schedule.
+
+    Leaves the state unchanged if the Gram matrix is not positive definite.
+    """
+    G, Z, h = _rebuild(state.rows[: state.size], state.lam)
+    state.G, state.Z = G, Z
+    if state.h is not None:
+        state.h = h
+    state.downdates_since_refresh = 0
+    state.refresh_every = max(state.rows.shape[1], REFRESH_MIN_INTERVAL)
+
+
 def _refresh(state: DowndateState) -> float:
-    """Recompute Z (and h) from the active rows; set the next interval.
+    """Recompute G, Z (and h) from the active rows; set the next interval.
 
     The drift ||(Z_old - Z)G||_inf (max absolute row sum, G the fresh
     regularized Gram matrix) bounds every active row's weight error:
@@ -182,19 +233,14 @@ def _refresh(state: DowndateState) -> float:
     Returns the drift.
     """
     k = state.size
-    rows = state.rows[:k]
-    G = linalg.gram(rows, state.lam)
-    Z = linalg.inv_spd(G)
-    drift = float(np.abs((state.Z - Z) @ G).sum(axis=1).max())
-    state.Z = Z
-    if state.h is not None:
-        h = _fresh_weights(rows, Z)
-        drift = max(drift, float(np.abs(state.h[:k] - h).max()))
-        state.h[:k] = h
-    base = max(rows.shape[1], REFRESH_MIN_INTERVAL)
+    Z_old, h_old = state.Z, state.h
+    _resync(state)
+    drift = float(np.abs((Z_old - state.Z) @ state.G).sum(axis=1).max())
+    if h_old is not None:
+        drift = max(drift, float(np.abs(h_old[:k] - state.h).max()))
     # a nan drift compares False and keeps the base interval
-    state.refresh_every = max(base, k // REFRESH_SHRINK) if drift <= DRIFT_TOL else base
-    state.downdates_since_refresh = 0
+    if drift <= DRIFT_TOL:
+        state.refresh_every = max(state.refresh_every, k // REFRESH_SHRINK)
     return drift
 
 
@@ -206,10 +252,11 @@ def _swap_out(state: DowndateState, pos: int) -> int:
     if pos != k:
         act[pos] = act[k]
         act[k] = i
-        rows = state.rows
-        x_i = rows[pos].copy()
-        rows[pos] = rows[k]
-        rows[k] = x_i
+        if not state.deferred:
+            rows = state.rows
+            x_i = rows[pos].copy()
+            rows[pos] = rows[k]
+            rows[k] = x_i
         h = state.h
         if h is not None:
             h[pos], h[k] = h[k], h[pos]
@@ -218,21 +265,26 @@ def _swap_out(state: DowndateState, pos: int) -> int:
 
 
 def remove_row(state: DowndateState, pos: int, h_i: Optional[float] = None) -> int:
-    """Remove the active row at position ``pos`` and downdate Z (and h).
+    """Remove the active row at position ``pos``; returns its row index.
 
-    ``h_i`` is the removal weight of that row; it is looked up from the
-    maintained weights when not supplied.  Returns the removed row index.
-    ``state.Z`` and ``state.h`` are updated in place.  Every
-    ``state.refresh_every`` downdates, Z (and h) are recomputed from
-    scratch to stop floating-point drift over long removal chains; the
-    interval grows to k // REFRESH_SHRINK while the measured drift stays
-    within DRIFT_TOL and falls back to max(d, REFRESH_MIN_INTERVAL)
-    otherwise (see ``_refresh``).
+    While ``state.deferred`` is set (the fast sampler's rejection phase)
+    the row is only swapped out and ``h_i`` is unused: the phase bounds
+    the weights instead, resyncs, and downdates Z by the removed rows at
+    its hand-over (``_catch_up``).  Otherwise Z and the weights are
+    downdated in place; ``h_i`` is the
+    row's current removal weight, looked up from ``state.h`` when not
+    supplied.  Every ``state.refresh_every`` downdates, Z (and h) are
+    recomputed from scratch to stop floating-point drift over long removal
+    chains; the interval grows to k // REFRESH_SHRINK while the measured
+    drift stays within DRIFT_TOL and falls back to
+    max(d, REFRESH_MIN_INTERVAL) otherwise (see ``_refresh``).
     """
+    if state.deferred:
+        return _swap_out(state, pos)
     if h_i is None:
         if state.h is None:
             raise ValueError("h_i required when weights are not tracked")
-        h_i = float(state.h[pos])
+        h_i = state.h.item(pos)
     v = linalg.downdate(state.Z, state.rows[pos], h_i)
     i = _swap_out(state, pos)
     k = state.size
@@ -258,15 +310,158 @@ def _pick_weighted(h_act: np.ndarray, rng: np.random.Generator) -> int:
     weight is below tolerance (caller switches to uniform removal).
     """
     c = h_act.cumsum()
-    total = c[-1]
+    total = c.item(-1)
     if total <= WEIGHT_ZERO_TOL:
         return -1
     u = rng.random() * total
     pos = int(c.searchsorted(u, side="right"))
-    if h_act[pos] < WEIGHT_ZERO_TOL:
+    if h_act.item(pos) < WEIGHT_ZERO_TOL:
         # roundoff dust landed under the cursor; take the heaviest row
         pos = int(h_act.argmax())
     return pos
+
+
+def _weight_floor(h0, mu: float):
+    """Lower bound on a weight that was ``h0`` at the last sync.
+
+    With G0 the Gram matrix at the sync and B the rows removed since,
+    ``mu`` >= lambda_max(G0^{-1/2} B'B G0^{-1/2}) and mu < 1 give
+    (G0 - B'B)^{-1} <= G0^{-1} / (1 - mu), so a leverage 1 - h0 has grown
+    by at most that factor.  (A weight never grows: h0 is its ceiling.)
+    """
+    return 1.0 - (1.0 - h0) / (1.0 - mu)
+
+
+class _RemovedBlock:
+    """The rows removed since the last sync: X at ``active[size:synced]``.
+
+    ``mu`` bounds the eigenvalue that ``_weight_floor`` needs: the exact
+    lambda_max at the last ``tighten`` plus the sync leverages of the rows
+    removed after it, whose sum bounds their own lambda_max (it is the
+    trace).  ``BtB`` accumulates B'B over ``active[folded:synced]``.
+    """
+
+    def __init__(self, state: DowndateState):
+        self.synced = self.folded = state.size
+        self.BtB = None
+        self.mu = 0.0
+
+    def _fold(self, state: DowndateState) -> None:
+        """Add the rows removed since the last fold to B'B."""
+        k = state.size
+        if self.folded == k:
+            return
+        B = state.X[state.active[k:self.folded]]
+        self.BtB = B.T @ B if self.BtB is None else self.BtB + B.T @ B
+        self.folded = k
+
+    def tighten(self, state: DowndateState) -> None:
+        """Set mu to the exact lambda_max of the pencil (B'B, G0)."""
+        if self.synced == state.size + 1:
+            return  # one row: its leverage, the trace bound, is the eigenvalue
+        self._fold(state)
+        ev = scipy.linalg.eigvalsh(self.BtB, state.G, check_finite=False)
+        self.mu = float(ev[-1])
+
+    def weight(self, state: DowndateState, pos: int) -> float:
+        """Exact current weight 1 - x'(G0 - B'B)^{-1}x of the row at ``pos``.
+
+        Clamped to [0, 1], sub-tolerance weights set to zero.  G0 - B'B is
+        the current Gram matrix, formed with at most 1/(1 - mu) times the
+        cancellation error of a fresh one: a factor below 2 at every
+        proposal but those of the phase's last removal.
+        """
+        self._fold(state)
+        G = state.G if self.BtB is None else state.G - self.BtB
+        x = state.X[state.active[pos]]
+        # Cholesky factor and solve in one LAPACK call; a matrix it finds
+        # not positive definite leaves the row no volume to remove
+        _, z, info = scipy.linalg.lapack.dposv(G, x, lower=1)
+        h = min(max(1.0 - float(x @ z), 0.0), 1.0) if info == 0 else 0.0
+        return h if h >= WEIGHT_ZERO_TOL else 0.0
+
+
+def _pack_rows(state: DowndateState) -> None:
+    """Copy the active rows of X into ``rows[:size]``, in active order."""
+    k = state.size
+    state.X.take(state.active[:k], axis=0, out=state.rows[:k])
+
+
+def _catch_up(state: DowndateState, block: _RemovedBlock) -> None:
+    """End the deferral: downdate Z by the block's rows, rebuild the weights.
+
+    The rows are downdated in removal order, each with its weight under
+    the inverse so far, and count towards the refresh schedule like any
+    other downdate; the weights are then recomputed from Z.
+    """
+    k = state.size
+    Z = state.Z
+    for x in state.X[state.active[k:block.synced][::-1]]:
+        linalg.downdate(Z, x)
+    _pack_rows(state)
+    state.deferred = False
+    state.downdates_since_refresh += block.synced - k
+    if state.downdates_since_refresh >= state.refresh_every:
+        _refresh(state)
+    else:
+        state.h = _fresh_weights(state.rows[:k], Z)
+
+
+def _reject_rows(state: DowndateState, cutoff: int, s: int,
+                 rng: np.random.Generator, removed: list) -> int:
+    """Remove rows by rejection down to ``cutoff``; returns the proposal count.
+
+    Each trial proposes a uniform active row (one ``integers`` draw) and
+    accepts it with probability equal to its current weight h (one
+    ``random`` draw u).  Downdates are deferred: with the weight h0 of the
+    row at the last sync and the block bound mu,
+    h0 >= h >= _weight_floor(h0, mu), so u >= h0 rejects and u below the
+    floor accepts; a u in between is compared with the exact weight
+    (``_RemovedBlock.weight``).  Once a removal lifts mu to MU_RESYNC, mu
+    is tightened to the exact eigenvalue, and if that is still at least
+    MU_RESYNC the phase resyncs: fresh G, Z and weights of the active
+    rows start a new block.  Before the last removal the limit is 1, where
+    the bracket fails, as a resync would serve that one removal only.  At
+    the hand-over to the weighted phase (more than ``s`` rows left)
+    ``_catch_up`` brings Z and the weights up to date.
+    """
+    if state.size <= cutoff:
+        return 0
+    h = state.h
+    integers, random = rng.integers, rng.random
+    state.deferred = True
+    block = _RemovedBlock(state)
+    trials = 0
+    while state.size > cutoff:
+        k = state.size
+        for t in range(1, REJECTION_CAP + 1):
+            pos = integers(k)
+            u = random()
+            h0 = h.item(pos)
+            if u >= h0:
+                continue
+            lo = _weight_floor(h0, block.mu)
+            if (u < lo and lo >= WEIGHT_ZERO_TOL) or u < block.weight(state, pos):
+                break
+        else:
+            raise AllWeightsZero(
+                f"{REJECTION_CAP} proposals in a row rejected with {k} rows left")
+        trials += t
+        removed.append(remove_row(state, pos, h_i=h0))
+        block.mu += 1.0 - h0  # the sync leverage
+        # a resync pays off only through the proposals after it: none
+        # past the cutoff (_catch_up follows), only mu < 1 for the last one
+        limit = MU_RESYNC if state.size > cutoff + 1 else 1.0
+        if block.mu >= limit and state.size > cutoff:
+            block.tighten(state)
+            if block.mu >= limit:
+                _pack_rows(state)
+                _resync(state)
+                h = state.h
+                block = _RemovedBlock(state)
+    if state.size > s:
+        _catch_up(state, block)
+    return trials
 
 
 def _volume_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator],
@@ -274,39 +469,22 @@ def _volume_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator],
     """Reverse iterative removal from the full set (or ``_state``) down to s rows.
 
     Rows above the cutoff -- max(s, 2d) for fastregvol, none for regvol --
-    are removed by rejection: propose a row uniformly, compute only its
-    weight, accept with that probability (weights are <= 1, and the mean
-    weight stays >= 1/2 above 2d rows).  The rest are removed by weight,
-    with every weight maintained by h_j -= (x_j'v)^2 (v = Zx_i/sqrt(h_i)),
-    so a weighted step over t active rows costs O(t*d).
+    are removed by rejection with deferred downdates (``_reject_rows``;
+    the mean weight stays >= 1/2 above 2d rows).  The rest are removed by
+    weight, with every weight maintained by h_j -= (x_j'v)^2
+    (v = Zx_i/sqrt(h_i)), so a weighted step over t active rows costs
+    O(t*d).  The drift-guarded refresh schedule governs this weighted
+    phase only (all of regvol, the fastregvol tail below the cutoff).
     """
-    X = linalg.as_matrix(X)
+    if _state is None or X is not _state.X:  # a state's X was checked once
+        X = linalg.as_matrix(X)
     n, d = X.shape
     cfg.validate(n, d)
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     state = _state if _state is not None else init_downdate_state(X, cfg.lam)
     fast = algorithm == "fastregvol"
-    cutoff = max(cfg.s, 2 * d) if fast else state.size
-    trials = 0
     removed = []
-    if state.size > cutoff:
-        state.h = None  # not maintained while rows are removed by rejection
-    while state.size > cutoff:
-        while True:
-            trials += 1
-            pos = int(rng.integers(state.size))
-            x_i = state.rows[pos]
-            h_i = 1.0 - float(x_i @ state.Z @ x_i)
-            h_i = min(max(h_i, 0.0), 1.0)
-            if h_i < WEIGHT_ZERO_TOL:
-                h_i = 0.0
-            if rng.random() < h_i:
-                break
-        removed.append(remove_row(state, pos, h_i=h_i))
-
-    if state.size > cfg.s and state.h is None:
-        # the maintained inverse already covers the remaining rows
-        state.h = _fresh_weights(state.rows[: state.size], state.Z)
+    trials = _reject_rows(state, max(cfg.s, 2 * d), cfg.s, rng, removed) if fast else None
     while state.size > cfg.s:
         pos = _pick_weighted(state.h[: state.size], rng)
         if pos >= 0:
@@ -327,7 +505,7 @@ def _volume_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator],
         lam=cfg.lam,
         algorithm=algorithm,
         seed=cfg.seed,
-        rejection_trials=trials if fast else None,
+        rejection_trials=trials,
         removal_order=tuple(removed),
     )
 

@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from volsample import datasets
+from volsample import datasets, linalg, oracle
 from volsample.cli import main
 from volsample.errors import DimensionMismatch, ParseError
 
@@ -110,6 +111,27 @@ def test_huge_libsvm_index_is_json_error(tmp_path, capsys):
     rc = main(["sample", "--input", str(path), "--format", "libsvm", "--size", "1"])
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "too_large"
+
+
+def test_wide_libsvm_gram_is_json_error(tmp_path, capsys):
+    # 1e6 features: the 2 x 1e6 design fits, its 7.3 TiB Gram matrix does
+    # not, and the allocation is refused before any memory is touched
+    path = tmp_path / "wide.svm"
+    path.write_text("1 1:1\n2 1000000:1\n")
+    rc = main(["sample", "--input", str(path), "--format", "libsvm", "--size", "1",
+               "--lambda", "0.5"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "too_large"
+
+
+def test_collapsed_weights_are_json_error(tmp_path, capsys, monkeypatch):
+    # every leverage 1: every weight 0, so the rejection phase gives up
+    monkeypatch.setattr(linalg, "quad_forms", lambda rows, Z: np.ones(len(rows)))
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.random.default_rng(1).standard_normal((40, 4)), delimiter=",")
+    rc = main(["sample", "--input", str(path), "--size", "3", "--algorithm", "fastregvol"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "all_weights_zero"
 
 
 def _load_report(path):
@@ -246,6 +268,21 @@ class TestRegressCommand:
         assert set(rep["results"]["regvol"]) == {"0.1", "1.0"}
         for entry in rep["results"]["regvol"].values():
             assert "averaged_total_loss" in entry
+
+    def test_oracle_law_built_once_per_lambda(self, degenerate_csv, monkeypatch):
+        calls = Counter()
+        exact = oracle.exact_distribution
+
+        def counted(X, s, lam=0.0, method=None):
+            calls[lam] += 1
+            return exact(X, s, lam, method)
+
+        monkeypatch.setattr(oracle, "exact_distribution", counted)
+        rc = main(["regress", "--input", degenerate_csv, "--size", "2",
+                   "--algorithm", "oracle", "--replicates", "4",
+                   "--lambda-grid", "0.0,0.5"])
+        assert rc == 0
+        assert calls == {0.0: 1, 0.5: 1}
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_replicates_below_one_rejected(self, degenerate_csv, capsys, count):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from volsample import fixtures, linalg, oracle, sampling
 from volsample.cli import main
-from volsample.errors import InvalidConfig, NotPositiveDefinite
+from volsample.errors import AllWeightsZero, InvalidConfig, NotPositiveDefinite
 from volsample.sampling import SamplerConfig
 
 
@@ -410,6 +410,15 @@ LARGE_DIGESTS = {
     ("dup", "regvol", 0.0): "08cbcfa532c1f147c08c9e4ded05dcefcca08317edf54be58e54f13a4f577c9c",
     ("dup", "fastregvol", 0.0): "3251687d138d5285dd37b6cf9d0a527b043545b6dd71ae22545d6c82c27ca70d",
 }
+# inverses the fast sampler's rejection phase rebuilds per draw (seeds 0-9):
+# its resyncs, as s = 2d leaves no weighted tail
+FAST_RESYNCS = {
+    ("gauss", 0.0): [15, 15, 17, 15, 14, 14, 14, 15, 14, 14],
+    ("gauss", 1.0): [13, 14, 16, 14, 14, 14, 13, 15, 13, 14],
+    ("cond", 0.0): [14, 15, 13, 13, 16, 15, 14, 15, 15, 16],
+    ("cond", 1e-8): [11, 12, 12, 12, 12, 12, 12, 12, 13, 12],
+    ("dup", 0.0): [14, 13, 16, 16, 15, 13, 15, 16, 16, 14],
+}
 
 
 @pytest.fixture
@@ -442,7 +451,9 @@ class TestRefreshSchedule:
             refreshes.append(linalg_work["inv_spd"] - 1)  # one inverse at init
         text = repr([(d.indices, d.removal_order, d.rejection_trials) for d in draws])
         assert hashlib.sha256(text.encode()).hexdigest() == LARGE_DIGESTS[design, algorithm, lam]
-        if design == "cond":
+        if algorithm == "fastregvol":
+            assert refreshes == FAST_RESYNCS[design, lam]
+        elif design == "cond":
             # the drift guard keeps the fixed max(d, 64) interval
             assert refreshes == [(LARGE_N - LARGE_S) // 64] * 10
         else:
@@ -490,3 +501,79 @@ class TestRefreshSchedule:
         sampling._swap_out(state, 0)
         assert sampling._refresh(state) > sampling.DRIFT_TOL
         assert state.refresh_every == 64
+
+
+class _CountingRng:
+    """A Generator stand-in that counts the draws the rejection phase makes."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = Counter()
+
+    def integers(self, *args, **kwargs):
+        self.calls["integers"] += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls["random"] += 1
+        return self.rng.random(*args, **kwargs)
+
+
+class TestRejectionCap:
+    def test_collapsed_weights_raise_after_the_cap(self, monkeypatch):
+        # every leverage 1: every weight 0, so every proposal is rejected
+        monkeypatch.setattr(linalg, "quad_forms", lambda rows, Z: np.ones(len(rows)))
+        X = fixtures.gaussian_matrix(200, 3, seed=4)
+        rng = _CountingRng(np.random.default_rng(0))
+        with pytest.raises(AllWeightsZero):
+            sampling.fast_reg_vol_sample(X, SamplerConfig(s=3, algorithm="fastregvol"), rng)
+        assert rng.calls == {"integers": sampling.REJECTION_CAP,
+                             "random": sampling.REJECTION_CAP}
+
+
+class TestDeferredBracket:
+    """A weight h0 at the last sync brackets the current weight h after the
+    block B is removed: _weight_floor(h0, mu) <= h <= h0 for any mu >=
+    lambda_max(G0^{-1/2} B'B G0^{-1/2}), the trace bound and the exact
+    eigenvalue alike."""
+
+    @staticmethod
+    def assert_bracket(X, lam, state, mu):
+        act = state.active[: state.size]
+        Z = linalg.inv_spd(linalg.gram(X[act], lam))
+        fresh = np.clip(1.0 - linalg.quad_forms(X[act], Z), 0.0, 1.0)
+        h0 = state.h[: state.size]
+        assert 0.0 <= mu < 1.0
+        # roundoff of the weights themselves: up to 1e-7 on the cond design
+        assert np.all(sampling._weight_floor(h0, mu) <= fresh + 1e-6)
+        assert np.all(fresh <= h0 + 1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(LARGE_X)), st.sampled_from([0.0, 1.0]),
+           st.integers(0, 2**32 - 1), st.integers(1, 150), st.integers(0, 1400))
+    def test_sync_weights_bracket_fresh_weights(self, design, lam, seed, m1, m2):
+        X = LARGE_X[design]
+        state = sampling.init_downdate_state(X, lam)
+        state.deferred = True
+        block = sampling._RemovedBlock(state)
+        rng = np.random.default_rng(seed)
+
+        def remove(count, trace_cap):
+            for _ in range(count):
+                pos = int(rng.integers(state.size))
+                ell = 1.0 - state.h[pos]
+                if block.mu + ell >= trace_cap:
+                    return
+                sampling.remove_row(state, pos)
+                block.mu += ell
+
+        # a block whose trace bound stays below the resync threshold
+        remove(m1, sampling.MU_RESYNC)
+        self.assert_bracket(X, lam, state, block.mu)
+        # a longer block, bounded by its exact eigenvalue; past MU_RESYNC
+        # only the last removal by rejection sees it, and past 1 none
+        remove(m2, np.inf)
+        block.tighten(state)
+        if block.mu >= 1.0:
+            return
+        self.assert_bracket(X, lam, state, block.mu)
