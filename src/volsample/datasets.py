@@ -2,6 +2,11 @@
 
 CSV: one row per line, comma separated, last column is the response; a
 header line is auto-detected (any non-numeric token in the first line).
+The body is parsed by one bulk ``np.loadtxt`` call.  Only when that call
+refuses the body, or finds fewer than two columns, does a line-by-line
+loop run: it names the first bad line in the error, or, for values that
+Python's ``float()`` accepts but numpy's parser does not (``1_0``,
+non-ASCII digits, whitespace-only lines), returns the same array.
 LibSVM: ``<label> <index>:<value> ...`` with 1-based indices, densified to
 0-based columns with missing entries as 0.0.
 """
@@ -37,9 +42,10 @@ def _is_float(token: str) -> bool:
         return False
 
 
-def _numbered(text: str):
-    """Yield (1-based line number, line) for the non-blank lines of text."""
-    return ((no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+def _numbered(lines, start: int = 1):
+    """Yield (line number, line) for the non-blank lines, the first one
+    numbered ``start``."""
+    return ((no, ln) for no, ln in enumerate(lines, start=start) if ln.strip())
 
 
 def _reject_non_finite(values: np.ndarray, text: str, first: int) -> None:
@@ -50,21 +56,17 @@ def _reject_non_finite(values: np.ndarray, text: str, first: int) -> None:
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         index = first + int(bad.argmax())
-        lineno, _ = next(itertools.islice(_numbered(text), index, None))
+        lineno, _ = next(itertools.islice(_numbered(text.splitlines()), index, None))
         raise ParseError("non-finite value", line=lineno)
 
 
-def parse_csv_text(text: str, source: str = "<string>") -> Dataset:
-    lines = _numbered(text)
-    head = next(lines, None)
-    if head is None:
-        raise ParseError("empty file")
-    start = 0
-    first = [t.strip() for t in head[1].split(",")]
-    if all(_is_float(t) for t in first):
-        lines = itertools.chain([head], lines)
-    else:
-        start = 1  # header line
+def _parse_csv_lines(lines) -> np.ndarray:
+    """Parse numbered CSV lines one at a time with ``float()``.
+
+    The error path of ``parse_csv_text``: raises the ParseError or
+    DimensionMismatch naming the first bad line, or returns the rows when
+    every value is one ``float()`` accepts.
+    """
     rows = []
     width = None
     for lineno, line in lines:
@@ -84,8 +86,28 @@ def parse_csv_text(text: str, source: str = "<string>") -> Dataset:
         rows.append(vals)
     if not rows:
         raise ParseError("no data rows")
-    arr = np.asarray(rows)
-    _reject_non_finite(arr, text, start)
+    return np.asarray(rows)
+
+
+def parse_csv_text(text: str, source: str = "<string>") -> Dataset:
+    lines = text.splitlines()
+    head = next(_numbered(lines), None)
+    if head is None:
+        raise ParseError("empty file")
+    first = [t.strip() for t in head[1].split(",")]
+    header = not all(_is_float(t) for t in first)
+    skip = head[0] if header else head[0] - 1  # lines before the body
+    body = lines[skip:]
+    arr = None
+    if any(map(str.strip, body)):  # loadtxt warns on a body with no data
+        try:
+            arr = np.loadtxt(body, delimiter=",", comments=None,
+                             dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+    if arr is None or arr.shape[1] < 2:
+        arr = _parse_csv_lines(_numbered(body, start=skip + 1))
+    _reject_non_finite(arr, text, int(header))
     problem = RegressionProblem(X=arr[:, :-1], y=arr[:, -1])
     return Dataset(problem=problem, source=source, format="csv",
                    feature_count=arr.shape[1] - 1, row_count=arr.shape[0])
@@ -95,7 +117,7 @@ def parse_libsvm_text(text: str, source: str = "<string>") -> Dataset:
     labels = []
     entries = []  # per-row {0-based col: value}
     max_col = 0
-    for lineno, line in _numbered(text):
+    for lineno, line in _numbered(text.splitlines()):
         tokens = line.split()
         try:
             labels.append(float(tokens[0]))

@@ -100,15 +100,6 @@ def inv_spd(A) -> np.ndarray:
     return 0.5 * (Z + Z.T)
 
 
-def spd_condition(A) -> float:
-    """2-norm condition estimate of a symmetric PSD matrix."""
-    ev = np.linalg.eigvalsh(np.asarray(A, dtype=np.float64))
-    lo, hi = float(ev[0]), float(ev[-1])
-    if lo <= 0:
-        return np.inf
-    return hi / lo
-
-
 def leverage_scores(X, lam: float = 0.0) -> np.ndarray:
     """Row scores x_i' (X'X + lam*I)^{-1} x_i.
 

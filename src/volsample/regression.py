@@ -17,9 +17,6 @@ from . import linalg
 from .errors import NotPositiveDefinite, RankDeficientSubset
 from .sampling import SubsetSample
 
-# Gram condition estimates above this are flagged, not rejected.
-CONDITION_FLAG = 1e12
-
 
 @dataclass(frozen=True)
 class RegressionProblem:
@@ -48,8 +45,6 @@ class Estimator:
     w: np.ndarray
     lam: float
     subset: Optional[SubsetSample] = None
-    gram_condition: float = np.nan
-    ill_conditioned: bool = False
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,7 @@ def solve_subproblem(p: RegressionProblem, subset, lam: float = 0.0) -> Estimato
     """Minimizer of |X_S w - y_S|^2 + lam |w|^2 on the selected rows.
 
     Importance weights attached to a leverage multiset are applied to the
-    rows and responses before solving.  An ill-conditioned Gram matrix is
-    flagged in the result, not rejected.
+    rows and responses before solving.
     """
     Xs, ys = _subset_rows(p, subset)
     G = linalg.gram(Xs, lam)
@@ -94,12 +88,8 @@ def solve_subproblem(p: RegressionProblem, subset, lam: float = 0.0) -> Estimato
         raise RankDeficientSubset(
             f"subset of {Xs.shape[0]} rows is rank deficient at lam={lam}"
         ) from exc
-    cond = linalg.spd_condition(G)
-    return Estimator(
-        w=w, lam=lam,
-        subset=subset if isinstance(subset, SubsetSample) else None,
-        gram_condition=cond, ill_conditioned=bool(cond > CONDITION_FLAG),
-    )
+    return Estimator(w=w, lam=lam,
+                     subset=subset if isinstance(subset, SubsetSample) else None)
 
 
 def solve_full(p: RegressionProblem, lam: float = 0.0) -> Estimator:
@@ -140,9 +130,7 @@ def averaged_estimator(p: RegressionProblem, samples: Sequence[SubsetSample],
         raise ValueError("need at least one sample")
     parts = [solve_subproblem(p, smp, lam) for smp in samples]
     w = np.mean([e.w for e in parts], axis=0)
-    cond = max(e.gram_condition for e in parts)
-    return Estimator(w=w, lam=lam, gram_condition=cond,
-                     ill_conditioned=any(e.ill_conditioned for e in parts))
+    return Estimator(w=w, lam=lam)
 
 
 def mspe(p: RegressionProblem, e: Estimator, model: NoiseModel) -> float:

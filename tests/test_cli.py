@@ -61,6 +61,75 @@ class TestCsvParsing:
         with pytest.raises(DimensionMismatch, match="line 4:"):
             datasets.parse_csv_text("a,b\n\n1,2\n3,4,5\n")
 
+    # inputs that numpy's bulk parser and Python's float() treat differently;
+    # a list is the expected array, a string the expected ParseError message
+    @pytest.mark.parametrize("text,want", [
+        ("1_0,2\n3,4\n", [[10, 2], [3, 4]]),
+        ("١٢,2\n3,4\n", [[12, 2], [3, 4]]),
+        ("1,2\n  \t \n3,4\n", [[1, 2], [3, 4]]),
+        ("x,y\r\n1,2\r\n\r\n3,4\r\n", [[1, 2], [3, 4]]),
+        ("1,2\n#1,3\n", "line 2: could not convert string to float: '#1'"),
+        ('1,2\n"1",3\n', "line 2: could not convert string to float: '\"1\"'"),
+        ("1,2\x0c3,4\nx,5\n", "line 3: could not convert string to float: 'x'"),
+        ("1,2\u20283,4\nx,5\n", "line 3: could not convert string to float: 'x'"),
+        ("y\n1\n2\n", "line 2: need at least one feature column and a response column"),
+    ])
+    def test_bulk_parser_edge_cases(self, text, want):
+        if isinstance(want, str):
+            with pytest.raises(ParseError) as err:
+                datasets.parse_csv_text(text)
+            assert str(err.value) == want
+        else:
+            arr = np.asarray(want, dtype=np.float64)
+            ds = datasets.parse_csv_text(text)
+            np.testing.assert_array_equal(ds.problem.X, arr[:, :-1])
+            np.testing.assert_array_equal(ds.problem.y, arr[:, -1])
+
+    def test_round_trip_is_bit_exact(self):
+        values = np.random.default_rng(11).standard_normal((2000, 6))
+        values[:, 0] *= 1e-300
+        values[:, 1] *= 1e300
+        text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in values)
+        ds = datasets.parse_csv_text(text)
+        got = np.column_stack([ds.problem.X, ds.problem.y])
+        assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
+        # the line loop is the reference the bulk parse must match
+        loop = datasets._parse_csv_lines(datasets._numbered(text.splitlines()))
+        assert np.array_equal(loop.view(np.uint64), values.view(np.uint64))
+
+    @pytest.fixture
+    def line_loop_calls(self, monkeypatch):
+        seen = Counter()
+        loop = datasets._parse_csv_lines
+
+        def counted(lines):
+            seen["calls"] += 1
+            return loop(lines)
+        monkeypatch.setattr(datasets, "_parse_csv_lines", counted)
+        return seen
+
+    @pytest.mark.parametrize("text", ["1,2,3\n4,5,6\n", "a,b,y\n\n1,2,3\n4,5,6\n"])
+    def test_clean_csv_skips_line_loop(self, line_loop_calls, text):
+        assert datasets.parse_csv_text(text).row_count == 2
+        assert line_loop_calls["calls"] == 0
+
+    def test_bad_token_reaches_line_loop(self, line_loop_calls):
+        with pytest.raises(ParseError, match="line 3:"):
+            datasets.parse_csv_text("a,y\n1,2\nx,3\n")
+        assert line_loop_calls["calls"] == 1
+
+
+# pytest records warnings instead of printing them, so a warning fails the test
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["a,b\n", "a,b\n\n  \n\t\n"])
+def test_header_only_csv_is_quiet_json_error(tmp_path, capfd, text):
+    path = tmp_path / "header.csv"
+    path.write_text(text)
+    rc = main(["sample", "--input", str(path), "--size", "1"])
+    out, err = capfd.readouterr()
+    assert rc == 2 and err == ""
+    assert json.loads(out)["error"] == {"code": "parse_error", "message": "no data rows"}
+
 
 class TestLibsvmParsing:
     def test_sparse_line_densified(self):
