@@ -34,8 +34,12 @@ EQUALITY_TOL = 1e-9
 PSD_TOL = -1e-9
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("VOLSAMPLE_SEED", "0"))
+def _parse(text: str, convert, name: str):
+    """``convert(text)``; a value it refuses is an InvalidConfig."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise InvalidConfig(f"{name}: cannot parse {text!r}") from None
 
 
 def _jsonify(obj):
@@ -89,6 +93,7 @@ def _dlambda_warning(X, s: int, lam: float) -> list[str]:
 
 
 def cmd_sample(args) -> dict:
+    sampling.check_lam(args.lam)
     t0 = time.perf_counter()
     p = _load_problem(args)
     t1 = time.perf_counter()
@@ -126,8 +131,10 @@ def cmd_regress(args) -> dict:
     p = _load_problem(args)
     t1 = time.perf_counter()
     algorithms = args.algorithm.split(",")
-    lams = ([float(v) for v in args.lambda_grid.split(",")]
+    lams = ([_parse(v, float, "--lambda-grid") for v in args.lambda_grid.split(",")]
             if args.lambda_grid else [args.lam])
+    for lam in lams:
+        sampling.check_lam(lam)
     k = args.replicates
     children = np.random.SeedSequence(args.seed).spawn(k)
     results = {}
@@ -321,7 +328,11 @@ def _bench_once(alg: str, X, s: int, seed: int) -> float:
 def cmd_bench(args) -> dict:
     if args.reps < 1:
         raise InvalidConfig(f"--reps must be at least 1, got {args.reps}")
-    sizes = [int(v) for v in args.sizes.split(",")]
+    if args.d < 1:
+        raise InvalidConfig(f"--d must be at least 1, got {args.d}")
+    sizes = [_parse(v, int, "--sizes") for v in args.sizes.split(",")]
+    if min(sizes) < 1:
+        raise InvalidConfig(f"--sizes must be at least 1, got {args.sizes!r}")
     algorithms = args.algorithm.split(",")
     t0 = time.perf_counter()
     results = {}
@@ -366,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $VOLSAMPLE_SEED or 0)")
         p.add_argument("--json", type=str, default=None,
                        help="write a JSON report to this path")
@@ -420,6 +431,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is None:  # read here, so a bad value is a JSON error
+            args.seed = _parse(os.environ.get("VOLSAMPLE_SEED", "0"), int,
+                               "VOLSAMPLE_SEED")
+        sampling.check_seed(args.seed)
         report = args.func(args)
     except VolsampleError as exc:
         err = {"error": {"code": exc.code, "message": str(exc)}}

@@ -163,7 +163,7 @@ def parse_dataset(path, format: str) -> Dataset:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     if format == "csv":
         return parse_csv_text(text, source=str(path))

@@ -5,8 +5,9 @@ Two independent routes to the exact law of a size-s sample:
 * ``closed_form`` (lam=0 only): enumerate every subset, weight by
   det(X_S'X_S) in log-space, normalize with log-sum-exp.
 * ``dag``: propagate probabilities level by level through the removal
-  graph, applying the conditional removal weights at every node.  This is
-  the only exact route for lam>0, where subsets reached along different
+  graph (a directed acyclic graph of subsets), applying the conditional
+  removal weights at every node and keeping only the current level.  This
+  is the only exact route for lam>0, where subsets reached along different
   removal orders no longer share a single path probability formula.
 
 On top of the exact law sits a catalog of expectation identities
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -46,10 +47,8 @@ PARALLEL_MIN_DRAWS = 10_000
 class ExactSubsetDistribution:
     """Exact log-space law over size-s subsets (zero-probability sets omitted)."""
 
-    n: int
     s: int
     lam: float
-    method: str  # "closed_form" | "dag"
     log_probs: dict[tuple[int, ...], float]
 
     def prob(self, subset) -> float:
@@ -74,7 +73,6 @@ class IdentityReport:
     max_rel_dev: float
     mode: str = "equality"  # or "inequality"
     psd_margin: Optional[float] = None
-    detail: dict = field(default_factory=dict)
 
 
 def _check_enumeration_size(count: int) -> None:
@@ -82,8 +80,15 @@ def _check_enumeration_size(count: int) -> None:
         raise TooLarge(f"{count} subsets exceeds the {MAX_SUBSETS} guardrail")
 
 
-def subset_logdet_table(X, sizes, lam: float = 0.0) -> dict[tuple[int, ...], float]:
-    """log det(X_S'X_S + lam*I) for every subset of the given sizes.
+def _check_levels(n: int, s: int) -> None:
+    """Guard an enumeration of every subset of sizes s..n."""
+    if not 0 <= s <= n:
+        raise UnsupportedCombination(f"need 0 <= s <= n, got s={s}")
+    _check_enumeration_size(sum(math.comb(n, t) for t in range(s, n + 1)))
+
+
+def subset_logdet_table(X, sizes) -> dict[tuple[int, ...], float]:
+    """log det(X_S'X_S) for every subset of the given sizes.
 
     Singular subsets map to -inf.
     """
@@ -94,7 +99,7 @@ def subset_logdet_table(X, sizes, lam: float = 0.0) -> dict[tuple[int, ...], flo
     table: dict[tuple[int, ...], float] = {}
     for t in sizes:
         for S in itertools.combinations(range(n), t):
-            G = linalg.gram(X[list(S)], lam)
+            G = linalg.gram(X[list(S)])
             try:
                 table[S] = linalg.chol_logdet(G)
             except NotPositiveDefinite:
@@ -113,11 +118,10 @@ def _closed_form_distribution(X, s: int) -> ExactSubsetDistribution:
     finite = {S: ld for S, ld in table.items() if ld > -math.inf}
     log_norm = logsumexp(list(finite.values()))
     probs = {S: ld - log_norm for S, ld in finite.items()}
-    return ExactSubsetDistribution(n=n, s=s, lam=0.0, method="closed_form",
-                                   log_probs=probs)
+    return ExactSubsetDistribution(s=s, lam=0.0, log_probs=probs)
 
 
-def _node_removal_distribution(X_S: np.ndarray, lam: float, d: int):
+def _node_removal_distribution(X_S: np.ndarray, lam: float):
     """Conditional removal probabilities at one node.
 
     Returns (probs, raw_h, trace_Z) where raw_h are the unclamped weights
@@ -137,23 +141,22 @@ def _node_removal_distribution(X_S: np.ndarray, lam: float, d: int):
     return h / total, raw, float(np.trace(Z))
 
 
-def dag_level_distributions(X, lam: float, s_min: int) -> dict[int, dict[tuple[int, ...], float]]:
-    """Propagate log-probabilities from the full set down to level s_min.
+def _dag_distribution(X, s: int, lam: float) -> ExactSubsetDistribution:
+    """Propagate log-probabilities from the full set down to level s.
 
-    Returns {level: {subset: log_prob}}; zero-probability nodes are pruned
-    as soon as they appear.
+    Only the current level is kept; zero-probability nodes are pruned as
+    soon as they appear.
     """
     X = linalg.as_matrix(X)
     n, d = X.shape
-    if not 0 <= s_min <= n:
-        raise UnsupportedCombination(f"need 0 <= s <= n, got s={s_min}")
-    _check_enumeration_size(sum(math.comb(n, t) for t in range(s_min, n + 1)))
+    if lam == 0.0 and not d <= s <= n:
+        raise UnsupportedCombination("lam=0 requires d <= s <= n")
+    _check_levels(n, s)
     level: dict[tuple[int, ...], float] = {tuple(range(n)): 0.0}
-    levels = {n: level}
-    for t in range(n, s_min, -1):
+    for _ in range(n, s, -1):
         children: dict[tuple[int, ...], list[float]] = {}
         for S, logp in level.items():
-            probs, _, _ = _node_removal_distribution(X[list(S)], lam, d)
+            probs, _, _ = _node_removal_distribution(X[list(S)], lam)
             for pos, i in enumerate(S):
                 p = probs[pos]
                 if p <= 0.0:
@@ -161,18 +164,7 @@ def dag_level_distributions(X, lam: float, s_min: int) -> dict[int, dict[tuple[i
                 child = S[:pos] + S[pos + 1:]
                 children.setdefault(child, []).append(logp + math.log(p))
         level = {S: float(logsumexp(ls)) for S, ls in children.items()}
-        levels[t - 1] = level
-    return levels
-
-
-def _dag_distribution(X, s: int, lam: float) -> ExactSubsetDistribution:
-    X = linalg.as_matrix(X)
-    n, d = X.shape
-    if lam == 0.0 and not d <= s <= n:
-        raise UnsupportedCombination("lam=0 requires d <= s <= n")
-    levels = dag_level_distributions(X, lam, s)
-    return ExactSubsetDistribution(n=n, s=s, lam=lam, method="dag",
-                                   log_probs=levels[s])
+    return ExactSubsetDistribution(s=s, lam=lam, log_probs=level)
 
 
 def exact_distribution(X, s: int, lam: float = 0.0,
@@ -206,7 +198,7 @@ def d_lambda(X, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _deviation_report(identity, lhs, rhs, mode="equality", detail=None) -> IdentityReport:
+def _deviation_report(identity, lhs, rhs, mode="equality") -> IdentityReport:
     la, ra = np.atleast_1d(np.asarray(lhs, dtype=float)), np.atleast_1d(np.asarray(rhs, dtype=float))
     max_abs = float(np.max(np.abs(la - ra)))
     scale = float(np.max(np.abs(ra)))
@@ -220,8 +212,7 @@ def _deviation_report(identity, lhs, rhs, mode="equality", detail=None) -> Ident
             psd_margin = float(np.min(diff))
     return IdentityReport(identity=identity, lhs=lhs, rhs=rhs,
                           max_abs_dev=max_abs, max_rel_dev=max_rel,
-                          mode=mode, psd_margin=psd_margin,
-                          detail=detail or {})
+                          mode=mode, psd_margin=psd_margin)
 
 
 def _pinv_embedded(X, S) -> np.ndarray:
@@ -251,8 +242,7 @@ def cauchy_binet_check(X, s: int) -> IdentityReport:
     max_abs = abs(lhs - rhs)
     max_rel = abs(math.expm1(lhs - rhs))
     return IdentityReport(identity="CAUCHY_BINET", lhs=lhs, rhs=rhs,
-                          max_abs_dev=max_abs, max_rel_dev=max_rel,
-                          detail={"log_space": True})
+                          max_abs_dev=max_abs, max_rel_dev=max_rel)
 
 
 def _expect_over(dist: ExactSubsetDistribution, fn):
@@ -342,43 +332,36 @@ def _identity_marginals(X, dist):
 def _identity_composition(X, s: int):
     """Two-stage law (size t, then size s from the selected rows) vs one-stage.
 
-    Checked for every intermediate size t; both stages normalized by
-    explicit log-sum-exp so the check does not presuppose the volume
-    normalization identity.
+    One array pass per intermediate size t: stage 1 is normalized by one
+    log-sum-exp over the size-t sets T, stage 2 by one per T over its
+    size-s subsets, and the products accumulate into the size-s subsets.
+    The explicit sums keep the check from presupposing the volume
+    normalization identity.  A T without stage-2 mass is skipped.
     """
-    X = linalg.as_matrix(X)
-    n, d = X.shape
-    table = subset_logdet_table(X, range(s, n + 1))
+    n = len(X)
     one_stage = _closed_form_distribution(X, s).log_probs
-    worst = (0.0, 0.0, None)
+    table = subset_logdet_table(X, range(s, n + 1))
+    subsets = list(itertools.combinations(range(n), s))
+    pos = {S: j for j, S in enumerate(subsets)}
+    ld_s = np.array([table[S] for S in subsets])
+    p1 = np.exp([one_stage.get(S, -math.inf) for S in subsets])
+    devs = []
     for t in range(s, n + 1):
-        stage1 = {S: ld for S, ld in table.items() if len(S) == t and ld > -math.inf}
-        norm1 = logsumexp(list(stage1.values()))
-        two_stage: dict[tuple[int, ...], list[float]] = {}
-        for T, ldT in stage1.items():
-            subs = list(itertools.combinations(T, s))
-            lds = np.array([table[S] for S in subs])
-            finite = lds > -math.inf
-            norm2 = logsumexp(lds[finite])
-            for S, ld in zip(subs, lds):
-                if ld == -math.inf:
-                    continue
-                two_stage.setdefault(S, []).append((ldT - norm1) + (ld - norm2))
-        for S, parts in two_stage.items():
-            p2 = math.exp(logsumexp(parts))
-            p1 = math.exp(one_stage.get(S, -math.inf))
-            dev = abs(p2 - p1)
-            if dev > worst[0]:
-                worst = (dev, p1, (t, S))
-        for S, lp in one_stage.items():
-            if S not in two_stage:
-                dev = math.exp(lp)
-                if dev > worst[0]:
-                    worst = (dev, math.exp(lp), (t, S))
-    max_abs, ref, where = worst
+        Ts = list(itertools.combinations(range(n), t))
+        log1 = np.array([table[T] for T in Ts])
+        log1 -= logsumexp(log1)
+        idx = np.array([[pos[S] for S in itertools.combinations(T, s)] for T in Ts])
+        lds = ld_s[idx]
+        norm2 = logsumexp(lds, axis=1)
+        keep = norm2 > -math.inf
+        two_stage = np.full(len(subsets), -math.inf)
+        np.logaddexp.at(two_stage, idx[keep],
+                        log1[keep, None] + (lds[keep] - norm2[keep, None]))
+        devs.append(np.abs(np.exp(two_stage) - p1).max())
+    # np.max, unlike the builtin max, never drops a nan
+    max_abs = float(np.max(devs))
     return IdentityReport(identity="COMPOSITION", lhs=None, rhs=None,
-                          max_abs_dev=max_abs, max_rel_dev=max_abs,
-                          detail={"worst": where})
+                          max_abs_dev=max_abs, max_rel_dev=max_abs)
 
 
 def _identity_reg_inverse_bound(X, dist):
@@ -391,29 +374,26 @@ def _identity_reg_inverse_bound(X, dist):
         )
     lhs = _expect_over(dist, lambda S: linalg.inv_spd(linalg.gram(X[list(S)], lam)))
     rhs = (n - dlam + 1) / (s - dlam + 1) * linalg.inv_spd(linalg.gram(X, lam))
-    return _deviation_report("REG_INVERSE_BOUND", lhs, rhs, mode="inequality",
-                             detail={"d_lambda": dlam})
+    return _deviation_report("REG_INVERSE_BOUND", lhs, rhs, mode="inequality")
 
 
 def _identity_normalization(X, s: int, lam: float):
-    """Weight-sum identity |S| - d + lam*tr(Z) at every propagated node."""
-    X = linalg.as_matrix(X)
+    """Weight sum sum_i h_i = |S| - d + lam*tr(Z) at every subset of size >= s.
+
+    The removal chain reaches every nonsingular subset; a singular one
+    (uniform fallback) has no weight identity and is skipped.
+    """
     n, d = X.shape
-    levels = dag_level_distributions(X, lam, s)
-    max_abs = 0.0
-    worst = None
-    for t in range(n, s - 1, -1):
-        for S in levels[t]:
-            _, raw, trZ = _node_removal_distribution(X[list(S)], lam, d)
-            if raw is None:
-                continue  # singular node: uniform fallback, no weight identity
-            expected = len(S) - d + lam * trZ
-            dev = abs(float(raw.sum()) - expected)
-            if dev > max_abs:
-                max_abs, worst = dev, (t, S)
+    _check_levels(n, s)
+    devs = [0.0]
+    for t in range(s, n + 1):
+        for S in itertools.combinations(range(n), t):
+            _, raw, trZ = _node_removal_distribution(X[list(S)], lam)
+            if raw is not None:
+                devs.append(abs(float(raw.sum()) - (t - d + lam * trZ)))
+    max_abs = float(np.max(devs))
     return IdentityReport(identity="NORMALIZATION", lhs=None, rhs=None,
-                          max_abs_dev=max_abs, max_rel_dev=max_abs,
-                          detail={"worst": worst})
+                          max_abs_dev=max_abs, max_rel_dev=max_abs)
 
 
 def verify_identity(identity: str, X, y=None, s: Optional[int] = None,

@@ -37,6 +37,7 @@ identical samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,6 +49,18 @@ from .errors import AllWeightsZero, InvalidConfig, NotPositiveDefinite
 from .linalg import WEIGHT_ZERO_TOL
 
 ALGORITHMS = ("regvol", "fastregvol", "leverage")
+
+
+def check_seed(seed: int) -> None:
+    """Raise InvalidConfig unless 0 <= seed < 2**64."""
+    if not 0 <= seed < 2**64:
+        raise InvalidConfig("seed must fit in 64 unsigned bits")
+
+
+def check_lam(lam: float) -> None:
+    """Raise InvalidConfig unless lam is finite and nonnegative."""
+    if not 0.0 <= lam < math.inf:  # false for a nan too
+        raise InvalidConfig("lam must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -62,10 +75,8 @@ class SamplerConfig:
     def validate(self, n: int, d: int) -> None:
         if self.algorithm not in ALGORITHMS:
             raise InvalidConfig(f"unknown algorithm {self.algorithm!r}")
-        if self.lam < 0:
-            raise InvalidConfig("lam must be nonnegative")
-        if not (0 <= self.seed < 2**64):
-            raise InvalidConfig("seed must fit in 64 unsigned bits")
+        check_lam(self.lam)
+        check_seed(self.seed)
         if self.algorithm == "leverage":
             if self.s < 0:
                 raise InvalidConfig("leverage sampling needs s >= 0")
@@ -144,7 +155,7 @@ class DowndateState:
     G: np.ndarray
     Z: np.ndarray
     lam: float
-    h: Optional[np.ndarray]
+    h: np.ndarray
     downdates_since_refresh: int = 0
     refresh_every: int = REFRESH_MIN_INTERVAL
     deferred: bool = False
@@ -162,7 +173,7 @@ class DowndateState:
             G=self.G,  # replaced, never written in place
             Z=self.Z.copy(),
             lam=self.lam,
-            h=None if self.h is None else self.h.copy(),
+            h=self.h.copy(),
             downdates_since_refresh=self.downdates_since_refresh,
             refresh_every=self.refresh_every,
             deferred=self.deferred,
@@ -209,25 +220,22 @@ def init_downdate_state(X, lam: float = 0.0) -> DowndateState:
 
 
 def _resync(state: DowndateState) -> None:
-    """Rebuild G, Z (and h) from the active rows; restart the refresh schedule.
+    """Rebuild G, Z and h from the active rows; restart the refresh schedule.
 
     Leaves the state unchanged if the Gram matrix is not positive definite.
     """
-    G, Z, h = _rebuild(state.rows[: state.size], state.lam)
-    state.G, state.Z = G, Z
-    if state.h is not None:
-        state.h = h
+    state.G, state.Z, state.h = _rebuild(state.rows[: state.size], state.lam)
     state.downdates_since_refresh = 0
     state.refresh_every = max(state.rows.shape[1], REFRESH_MIN_INTERVAL)
 
 
 def _refresh(state: DowndateState) -> float:
-    """Recompute G, Z (and h) from the active rows; set the next interval.
+    """Recompute G, Z and h from the active rows; set the next interval.
 
     The drift ||(Z_old - Z)G||_inf (max absolute row sum, G the fresh
     regularized Gram matrix) bounds every active row's weight error:
     |x'(Z_old - Z)x| <= rho((Z_old - Z)G) * x'G^{-1}x and the leverage
-    x'G^{-1}x is at most 1.  Tracked weights also count their own error.
+    x'G^{-1}x is at most 1.  The weights also count their own error.
     A drift within DRIFT_TOL stretches the next interval to
     k // REFRESH_SHRINK; any other keeps it at max(d, REFRESH_MIN_INTERVAL).
     Returns the drift.
@@ -236,8 +244,7 @@ def _refresh(state: DowndateState) -> float:
     Z_old, h_old = state.Z, state.h
     _resync(state)
     drift = float(np.abs((Z_old - state.Z) @ state.G).sum(axis=1).max())
-    if h_old is not None:
-        drift = max(drift, float(np.abs(h_old[:k] - state.h).max()))
+    drift = max(drift, float(np.abs(h_old[:k] - state.h).max()))
     # a nan drift compares False and keeps the base interval
     if drift <= DRIFT_TOL:
         state.refresh_every = max(state.refresh_every, k // REFRESH_SHRINK)
@@ -258,8 +265,7 @@ def _swap_out(state: DowndateState, pos: int) -> int:
             rows[pos] = rows[k]
             rows[k] = x_i
         h = state.h
-        if h is not None:
-            h[pos], h[k] = h[k], h[pos]
+        h[pos], h[k] = h[k], h[pos]
     state.size = k
     return i
 
@@ -273,7 +279,7 @@ def remove_row(state: DowndateState, pos: int, h_i: Optional[float] = None) -> i
     its hand-over (``_catch_up``).  Otherwise Z and the weights are
     downdated in place; ``h_i`` is the
     row's current removal weight, looked up from ``state.h`` when not
-    supplied.  Every ``state.refresh_every`` downdates, Z (and h) are
+    supplied.  Every ``state.refresh_every`` downdates, Z and h are
     recomputed from scratch to stop floating-point drift over long removal
     chains; the interval grows to k // REFRESH_SHRINK while the measured
     drift stays within DRIFT_TOL and falls back to
@@ -282,21 +288,18 @@ def remove_row(state: DowndateState, pos: int, h_i: Optional[float] = None) -> i
     if state.deferred:
         return _swap_out(state, pos)
     if h_i is None:
-        if state.h is None:
-            raise ValueError("h_i required when weights are not tracked")
         h_i = state.h.item(pos)
     v = linalg.downdate(state.Z, state.rows[pos], h_i)
     i = _swap_out(state, pos)
     k = state.size
 
-    if state.h is not None:
-        t = state.rows[:k] @ v
-        np.multiply(t, t, out=t)
-        hk = state.h[:k]
-        np.subtract(hk, t, out=hk)
-        # roundoff can push weights a hair negative; sub-tolerance dust is
-        # screened out again at selection time
-        np.maximum(hk, 0.0, out=hk)
+    t = state.rows[:k] @ v
+    np.multiply(t, t, out=t)
+    hk = state.h[:k]
+    np.subtract(hk, t, out=hk)
+    # roundoff can push weights a hair negative; sub-tolerance dust is
+    # screened out again at selection time
+    np.maximum(hk, 0.0, out=hk)
     state.downdates_since_refresh += 1
     if state.downdates_since_refresh >= state.refresh_every:
         _refresh(state)
@@ -539,9 +542,8 @@ def leverage_iid_sample(X, s: int, lam: float = 0.0,
     1/sqrt(s*P(i)) used to rescale the subproblem.
     """
     X = linalg.as_matrix(X)
-    n, _ = X.shape
-    if s < 0:
-        raise InvalidConfig("s must be nonnegative")
+    n, d = X.shape
+    SamplerConfig(s=s, lam=lam, seed=seed, algorithm="leverage").validate(n, d)
     rng = rng if rng is not None else np.random.default_rng(seed)
     scores = linalg.leverage_scores(X, lam)
     p = scores / scores.sum()

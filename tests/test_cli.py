@@ -171,6 +171,48 @@ def test_non_finite_input_is_json_parse_error(tmp_path, capsys, fmt, text):
     assert err["code"] == "parse_error" and err["message"].startswith("line 2:")
 
 
+@pytest.mark.parametrize("fmt,data", [("csv", b"a,b\n1,\xff\n"),
+                                      ("libsvm", b"1 1:\xff\n")], ids=["csv", "libsvm"])
+def test_undecodable_input_is_json_parse_error(tmp_path, capsys, fmt, data):
+    path = tmp_path / f"data.{fmt}"
+    path.write_bytes(data)
+    rc = main(["sample", "--input", str(path), "--format", fmt, "--size", "1"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "parse_error"
+
+
+# (argv, environment): each once escaped as a traceback or a NaN report
+BAD_VALUES = [
+    ("sample --algorithm leverage --seed -1", {}),
+    ("sample --algorithm oracle --seed -1", {}),
+    ("regress --seed -1", {}),
+    ("verify --suite identities --seed -1", {}),
+    ("sample --algorithm leverage --lambda -1", {}),
+    ("sample --algorithm oracle --lambda -1", {}),
+    ("regress --lambda-grid 1,x", {}),
+    ("bench --sizes 100,x", {}),
+    ("bench --sizes 100,200 --d 0", {}),
+    ("sample", {"VOLSAMPLE_SEED": "abc"}),
+    ("sample --lambda nan", {}),
+    ("regress --algorithm leverage --lambda nan", {}),
+]
+
+
+@pytest.mark.parametrize("argv,env", BAD_VALUES,
+                         ids=[" ".join([*(f"{k}={v}" for k, v in env.items()), argv])
+                              for argv, env in BAD_VALUES])
+def test_bad_value_is_invalid_config(degenerate_csv, capfd, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = argv.split()
+    if argv[0] in ("sample", "regress"):
+        argv += ["--input", degenerate_csv, "--size", "2"]
+    rc = main(argv)
+    out, err = capfd.readouterr()
+    assert rc == 2 and "Traceback" not in err
+    assert json.loads(out)["error"]["code"] == "invalid_config"
+
+
 def test_huge_libsvm_index_is_json_error(tmp_path, capsys):
     # the dense 2 x 1e13 matrix (146 TiB) is larger than the 128 TiB user
     # address space of x86-64 Linux, so its allocation is refused before

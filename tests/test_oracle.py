@@ -122,6 +122,16 @@ class TestEqualityIdentities:
             rep = oracle.verify_identity("COMPOSITION", gauss82, s=s)
             assert rep.max_abs_dev <= 1e-12
 
+    def test_composition_degenerate_reads_zero(self, degenerate):
+        # the zero-volume pair drops out of both stages without a trace
+        rep = oracle.verify_identity("COMPOSITION", degenerate.X, s=2)
+        assert rep.max_abs_dev == 0.0
+
+    def test_composition_rank_deficient_raises(self):
+        X = np.array([[1.0, 2.0], [2.0, 4.0], [1.0, 2.0]])
+        with pytest.raises(NotPositiveDefinite):
+            oracle.verify_identity("COMPOSITION", X, s=2)
+
     def test_proj_square_and_loss_factor_at_d(self, gauss82):
         y = np.random.default_rng(5).standard_normal(8)
         for name in ("PROJ_SQUARE", "LOSS_FACTOR"):
@@ -170,6 +180,20 @@ class TestRegularizedBound:
     def test_normalization_identity(self, gauss83):
         rep = oracle.verify_identity("NORMALIZATION", gauss83, s=3, lam=0.5)
         assert rep.max_abs_dev <= 1e-8
+
+    @pytest.mark.parametrize("case,lam,dev", [
+        # the (8, 3) design of `volsample verify --suite identities --seed 7`
+        ("suite", 0.5, "0x1.0000000000000p-49"),
+        ("degenerate", 0.0, "0x1.0000000000000p-50"),
+        ("degenerate", 0.5, "0x1.0000000000000p-51"),
+    ])
+    def test_normalization_deviation_pinned(self, degenerate, case, lam, dev):
+        if case == "suite":
+            X, s = np.random.default_rng(8).standard_normal((8, 3)), 3
+        else:
+            X, s = degenerate.X, 2
+        rep = oracle.verify_identity("NORMALIZATION", X, s=s, lam=lam)
+        assert rep.max_abs_dev.hex() == dev
 
 
 class TestEmpirical:

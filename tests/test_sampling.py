@@ -479,7 +479,9 @@ class TestRefreshSchedule:
             sampling.remove_row(state, sampling._pick_weighted(state.h[: state.size], rng))
         h_old = state.h[: state.size].copy()
         if not keep_weights:
-            state.h = None
+            # the weights a rebuild gives: the weight term of the drift
+            # reads exactly 0, so only Z's drift is tested
+            state.h[: state.size] = sampling._rebuild(state.rows[: state.size], state.lam)[2]
         Z_old = state.Z.copy()
         drift = sampling._refresh(state)
         err = np.abs(linalg.quad_forms(state.rows[: state.size], Z_old - state.Z))
