@@ -30,8 +30,15 @@ from .errors import InvalidConfig, VolsampleError
 
 EQUALITY_IDENTITIES = ("PSEUDOINV_UNBIASED", "COV_INVERSE", "FROBENIUS",
                        "COVARIANCE", "MARGINALS", "COMPOSITION", "CAUCHY_BINET")
-EQUALITY_TOL = 1e-9
-PSD_TOL = -1e-9
+# pass thresholds of the ``verify`` suites
+THRESHOLDS = {
+    "rel_dev": 1e-9,  # identities: largest relative deviation, at most
+    "psd_margin": -1e-9,  # inequalities: least eigenvalue of rhs - lhs, at least
+    "normalization_dev": 1e-8,  # weight-sum identity: largest deviation, at most
+    "tv_distance": 0.02,  # volume samplers: TV to the exact law, below
+    "marginal_se": 4,  # leverage marginals: standard errors off, at most
+    "bound_se": 3,  # regression bounds: standard errors above the bound, at most
+}
 
 
 def _parse(text: str, convert, name: str):
@@ -127,6 +134,8 @@ def cmd_sample(args) -> dict:
 def cmd_regress(args) -> dict:
     if args.replicates < 1:
         raise InvalidConfig(f"--replicates must be at least 1, got {args.replicates}")
+    if args.size < 1:
+        raise InvalidConfig(f"--size must be at least 1, got {args.size}")
     t0 = time.perf_counter()
     p = _load_problem(args)
     t1 = time.perf_counter()
@@ -137,14 +146,17 @@ def cmd_regress(args) -> dict:
         sampling.check_lam(lam)
     k = args.replicates
     children = np.random.SeedSequence(args.seed).spawn(k)
+    volume = ("regvol", "fastregvol")
+    # the d_lambda warning concerns the volume samplers only: one per lambda
+    dl_warnings = ({lam: _dlambda_warning(p.X, args.size, lam) for lam in lams}
+                   if set(volume) & set(algorithms) else {})
     results = {}
     warnings = []
     for alg in algorithms:
         per_lam = {}
         for lam in lams:
-            warnings += [f"[{alg} lambda={lam}] {w}"
-                         for w in _dlambda_warning(p.X, args.size, lam)
-                         if alg in ("regvol", "fastregvol")]
+            if alg in volume:
+                warnings += [f"[{alg} lambda={lam}] {w}" for w in dl_warnings[lam]]
             cfg = sampling.SamplerConfig(s=args.size, lam=lam, algorithm=alg)
             # the exact law depends on (X, s, lam) only: one per replicate set
             dist = oracle.exact_distribution(p.X, args.size, lam) if alg == "oracle" else None
@@ -203,19 +215,22 @@ def _verify_identities(seed: int):
     X = rng.standard_normal((8, 2))
     y = rng.standard_normal(8)
     n, d = X.shape
-    for s in range(d, n + 1):
+    # one exact law per size, shared by the identities checked at that size
+    laws = {s: oracle.exact_distribution(X, s) for s in range(d, n + 1)}
+    for s, dist in laws.items():
         for name in EQUALITY_IDENTITIES:
-            rep = oracle.verify_identity(name, X, y, s=s)
-            record(name, rep, s, 0.0, "gaussian", rep.max_rel_dev <= EQUALITY_TOL)
+            rep = oracle.verify_identity(name, X, y, s=s, dist=dist)
+            record(name, rep, s, 0.0, "gaussian", rep.max_rel_dev <= THRESHOLDS["rel_dev"])
     for name in ("PROJ_SQUARE", "LOSS_FACTOR"):
-        rep = oracle.verify_identity(name, X, y, s=d)
-        record(name, rep, d, 0.0, "gaussian", rep.max_rel_dev <= EQUALITY_TOL)
+        rep = oracle.verify_identity(name, X, y, s=d, dist=laws[d])
+        record(name, rep, d, 0.0, "gaussian", rep.max_rel_dev <= THRESHOLDS["rel_dev"])
 
     dp = fixtures.degenerate_problem()
+    dist = oracle.exact_distribution(dp.X, 2)
     for name in ("COV_INVERSE", "LOSS_FACTOR"):
-        rep = oracle.verify_identity(name, dp.X, dp.y, s=2, equality=False)
+        rep = oracle.verify_identity(name, dp.X, dp.y, s=2, equality=False, dist=dist)
         record(name, rep, 2, 0.0, "degenerate",
-               rep.psd_margin is not None and rep.psd_margin >= PSD_TOL)
+               rep.psd_margin is not None and rep.psd_margin >= THRESHOLDS["psd_margin"])
 
     X3 = np.random.default_rng(seed + 1).standard_normal((8, 3))
     for lam in (0.1, 1.0):
@@ -223,9 +238,10 @@ def _verify_identities(seed: int):
         for s in range(math.ceil(dl), 9):
             rep = oracle.verify_identity("REG_INVERSE_BOUND", X3, s=s, lam=lam)
             record("REG_INVERSE_BOUND", rep, s, lam, "gaussian",
-                   rep.psd_margin >= PSD_TOL)
+                   rep.psd_margin >= THRESHOLDS["psd_margin"])
     rep = oracle.verify_identity("NORMALIZATION", X3, s=3, lam=0.5)
-    record("NORMALIZATION", rep, 3, 0.5, "gaussian", rep.max_abs_dev <= 1e-8)
+    record("NORMALIZATION", rep, 3, 0.5, "gaussian",
+           rep.max_abs_dev <= THRESHOLDS["normalization_dev"])
     return rows
 
 
@@ -239,7 +255,8 @@ def _verify_distribution(seed: int):
             "check": f"{alg}_tv", "tv_distance": rep.tv_distance,
             "chi_square": rep.chi_square, "dof": rep.dof,
             "off_support_draws": rep.off_support_draws,
-            "pass": bool(rep.tv_distance < 0.02 and rep.off_support_draws == 0),
+            "pass": bool(rep.tv_distance < THRESHOLDS["tv_distance"]
+                         and rep.off_support_draws == 0),
         })
     cfg = sampling.SamplerConfig(s=4, seed=seed, algorithm="leverage")
     rep = oracle.empirical_distribution_test(X, cfg, draws=20_000)
@@ -247,7 +264,7 @@ def _verify_distribution(seed: int):
     p = scores / scores.sum()
     draws_total = 4 * 20_000
     se = np.sqrt(p * (1 - p) / draws_total)
-    ok = bool(np.all(np.abs(rep.index_marginals - p) <= 4 * se))
+    ok = bool(np.all(np.abs(rep.index_marginals - p) <= THRESHOLDS["marginal_se"] * se))
     rows.append({"check": "leverage_marginals", "tv_distance": rep.tv_distance,
                  "max_se_units": float(np.max(np.abs(rep.index_marginals - p) / se)),
                  "pass": ok})
@@ -283,12 +300,12 @@ def _verify_regression_bounds(seed: int):
         rows.append({
             "check": f"mspe_bound_s{s}", "estimate": float(mspes.mean()),
             "bound": float(mspe_bound), "se": float(se_p),
-            "pass": bool(mspes.mean() <= mspe_bound + 3 * se_p),
+            "pass": bool(mspes.mean() <= mspe_bound + THRESHOLDS["bound_se"] * se_p),
         })
         rows.append({
             "check": f"mse_bound_s{s}", "estimate": float(mses.mean()),
             "bound": float(mse_bound), "se": float(se_m),
-            "pass": bool(mses.mean() <= mse_bound + 3 * se_m),
+            "pass": bool(mses.mean() <= mse_bound + THRESHOLDS["bound_se"] * se_m),
         })
     return rows
 
@@ -333,6 +350,9 @@ def cmd_bench(args) -> dict:
     sizes = [_parse(v, int, "--sizes") for v in args.sizes.split(",")]
     if min(sizes) < 1:
         raise InvalidConfig(f"--sizes must be at least 1, got {args.sizes!r}")
+    if len(set(sizes)) < 2:
+        raise InvalidConfig(
+            f"--sizes needs two distinct sizes to fit a slope, got {args.sizes!r}")
     algorithms = args.algorithm.split(",")
     t0 = time.perf_counter()
     results = {}

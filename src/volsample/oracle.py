@@ -2,20 +2,22 @@
 
 Two independent routes to the exact law of a size-s sample:
 
-* ``closed_form`` (lam=0 only): enumerate every subset, weight by
-  det(X_S'X_S) in log-space, normalize with log-sum-exp.
-* ``dag``: propagate probabilities level by level through the removal
-  graph (a directed acyclic graph of subsets), applying the conditional
-  removal weights at every node and keeping only the current level.  This
-  is the only exact route for lam>0, where subsets reached along different
-  removal orders no longer share a single path probability formula.
+* the closed form (``exact_distribution`` at lam=0): enumerate every
+  subset, weight by det(X_S'X_S) in log-space, normalize with log-sum-exp.
+* the removal DAG (``exact_distribution`` at lam>0): propagate
+  probabilities level by level through the removal graph (a directed
+  acyclic graph of subsets), applying the conditional removal weights at
+  every node and keeping only the current level.  This is the only exact
+  route for lam>0, where subsets reached along different removal orders no
+  longer share a single path probability formula.
 
-On top of the exact law sits a catalog of expectation identities
-(pseudoinverse unbiasedness, inverse-covariance factor, marginals,
-composition under subsampling, the regularized inverse bound, ...), each
-evaluated as an explicit weighted sum over the support and compared with
-its closed form.  Enumeration limits are hard errors -- the oracle never
-approximates.
+On top of the exact law sits a catalog of identities.  The expectation
+identities (pseudoinverse unbiasedness, inverse-covariance factor,
+marginals, the regularized inverse bound, ...) form one table of
+functions, each giving an explicit weighted sum over the support and its
+closed form; composition under subsampling, Cauchy-Binet and the weight
+normalization enumerate their own subsets.  Enumeration limits are hard
+errors -- the oracle never approximates.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from . import linalg, sampling
+from . import linalg, regression, sampling
 from .errors import (
     NotPositiveDefinite,
     TooLarge,
@@ -167,18 +169,11 @@ def _dag_distribution(X, s: int, lam: float) -> ExactSubsetDistribution:
     return ExactSubsetDistribution(s=s, lam=lam, log_probs=level)
 
 
-def exact_distribution(X, s: int, lam: float = 0.0,
-                       method: Optional[str] = None) -> ExactSubsetDistribution:
+def exact_distribution(X, s: int, lam: float = 0.0) -> ExactSubsetDistribution:
     """Exact size-s law; closed form for lam=0, DAG propagation otherwise."""
-    if method is None:
-        method = "closed_form" if lam == 0.0 else "dag"
-    if method == "closed_form":
-        if lam != 0.0:
-            raise UnsupportedCombination("closed form is only exact at lam=0")
+    if lam == 0.0:
         return _closed_form_distribution(X, s)
-    if method == "dag":
-        return _dag_distribution(X, s, lam)
-    raise UnsupportedCombination(f"unknown method {method!r}")
+    return _dag_distribution(X, s, lam)
 
 
 def d_lambda(X, lam: float) -> float:
@@ -224,12 +219,6 @@ def _pinv_embedded(X, S) -> np.ndarray:
     return P
 
 
-def _subset_solve(X, y, S) -> np.ndarray:
-    rows = list(S)
-    Xs = X[rows]
-    return linalg.solve_spd(linalg.gram(Xs), Xs.T @ y[rows])
-
-
 def cauchy_binet_check(X, s: int) -> IdentityReport:
     """Sum of subset volumes vs C(n-d, s-d) * det(X'X), in log-space."""
     X = linalg.as_matrix(X)
@@ -253,41 +242,36 @@ def _expect_over(dist: ExactSubsetDistribution, fn):
     return acc
 
 
-def _identity_pseudoinv(X, dist):
+def _inverse_moment(X, dist: ExactSubsetDistribution):
+    """E[(X_S'X_S + lam I)^{-1}] under ``dist``, and (X'X + lam I)^{-1}."""
+    lam = dist.lam
+    moment = _expect_over(dist, lambda S: linalg.inv_spd(linalg.gram(X[list(S)], lam)))
+    return moment, linalg.inv_spd(linalg.gram(X, lam))
+
+
+def _pseudoinv(X, y, dist):
     lhs = _expect_over(dist, lambda S: _pinv_embedded(X, S))
-    rhs = linalg.solve_spd(linalg.gram(X), X.T)
-    return _deviation_report("PSEUDOINV_UNBIASED", lhs, rhs)
+    return lhs, linalg.solve_spd(linalg.gram(X), X.T)
 
 
-def _identity_cov_inverse(X, dist, equality):
+def _cov_inverse(X, y, dist):
     n, d = X.shape
-    s = dist.s
-    lhs = _expect_over(dist, lambda S: linalg.inv_spd(linalg.gram(X[list(S)])))
-    rhs = (n - d + 1) / (s - d + 1) * linalg.inv_spd(linalg.gram(X))
-    return _deviation_report("COV_INVERSE", lhs, rhs,
-                             mode="equality" if equality else "inequality")
+    moment, inv = _inverse_moment(X, dist)
+    return moment, (n - d + 1) / (dist.s - d + 1) * inv
 
 
-def _identity_frobenius(X, dist, equality):
+def _frobenius(X, y, dist):
+    lhs, rhs = _cov_inverse(X, y, dist)
+    return float(np.trace(lhs)), float(np.trace(rhs))
+
+
+def _covariance(X, y, dist):
     n, d = X.shape
-    s = dist.s
-    lhs = _expect_over(dist, lambda S: np.trace(linalg.inv_spd(linalg.gram(X[list(S)]))))
-    rhs = (n - d + 1) / (s - d + 1) * np.trace(linalg.inv_spd(linalg.gram(X)))
-    return _deviation_report("FROBENIUS", float(lhs), float(rhs),
-                             mode="equality" if equality else "inequality")
+    moment, inv = _inverse_moment(X, dist)
+    return moment - inv, (n - dist.s) / (dist.s - d + 1) * inv
 
 
-def _identity_covariance(X, dist, equality):
-    n, d = X.shape
-    s = dist.s
-    invG = linalg.inv_spd(linalg.gram(X))
-    lhs = _expect_over(dist, lambda S: linalg.inv_spd(linalg.gram(X[list(S)]))) - invG
-    rhs = (n - s) / (s - d + 1) * invG
-    return _deviation_report("COVARIANCE", lhs, rhs,
-                             mode="equality" if equality else "inequality")
-
-
-def _identity_proj_square(X, dist, equality):
+def _proj_square(X, y, dist):
     n, d = X.shape
     if dist.s != d:
         raise UnsupportedCombination("PROJ_SQUARE is defined at s = d only")
@@ -299,34 +283,52 @@ def _identity_proj_square(X, dist, equality):
         B = X @ _pinv_embedded(X, S)
         return B.T @ B
 
-    lhs = _expect_over(dist, f) - P_X
-    rhs = d * (np.eye(n) - P_X)
-    return _deviation_report("PROJ_SQUARE", lhs, rhs,
-                             mode="equality" if equality else "inequality")
+    return _expect_over(dist, f) - P_X, d * (np.eye(n) - P_X)
 
 
-def _identity_loss_factor(X, y, dist, equality):
-    n, d = X.shape
-    if dist.s != d:
+def _loss_factor(X, y, dist):
+    if y is None:
+        raise UnsupportedCombination("LOSS_FACTOR needs a response vector")
+    if dist.s != X.shape[1]:
         raise UnsupportedCombination("LOSS_FACTOR is defined at s = d only")
-    w_full = linalg.solve_spd(linalg.gram(X), X.T @ y)
-    opt_loss = float(np.sum((X @ w_full - y) ** 2))
+    p = regression.RegressionProblem(X=X, y=y)
     lhs = _expect_over(
-        dist, lambda S: float(np.sum((X @ _subset_solve(X, y, S) - y) ** 2))
-    )
-    rhs = (d + 1) * opt_loss
-    return _deviation_report("LOSS_FACTOR", float(lhs), rhs,
-                             mode="equality" if equality else "inequality")
+        dist, lambda S: regression.total_loss(p, regression.solve_subproblem(p, S)))
+    return lhs, (p.d + 1) * regression.total_loss(p, regression.solve_full(p))
 
 
-def _identity_marginals(X, dist):
-    n = X.shape[0]
-    lhs = np.zeros(n)
+def _marginals(X, y, dist):
+    lhs = np.zeros(X.shape[0])
     for S, p in dist.items():
         for i in S:
             lhs[i] += p
-    rhs = sampling.marginal_probabilities(X, dist.s)
-    return _deviation_report("MARGINALS", lhs, rhs)
+    return lhs, sampling.marginal_probabilities(X, dist.s)
+
+
+def _reg_inverse_bound(X, y, dist):
+    n, d = X.shape
+    s = dist.s
+    dlam = d_lambda(X, dist.lam)
+    if s < dlam:
+        raise UnsupportedCombination(
+            f"bound requires s >= d_lambda = {dlam:.3f}, got s={s}"
+        )
+    moment, inv = _inverse_moment(X, dist)
+    return moment, (n - dlam + 1) / (s - dlam + 1) * inv
+
+
+# the expectation identities: name -> (function of (X, y, dist) giving
+# (lhs, rhs), mode; None lets ``verify_identity``'s ``equality`` choose)
+_EXPECTATIONS = {
+    "PSEUDOINV_UNBIASED": (_pseudoinv, "equality"),
+    "COV_INVERSE": (_cov_inverse, None),
+    "FROBENIUS": (_frobenius, None),
+    "COVARIANCE": (_covariance, None),
+    "PROJ_SQUARE": (_proj_square, None),
+    "LOSS_FACTOR": (_loss_factor, None),
+    "MARGINALS": (_marginals, "equality"),
+    "REG_INVERSE_BOUND": (_reg_inverse_bound, "inequality"),
+}
 
 
 def _identity_composition(X, s: int):
@@ -364,19 +366,6 @@ def _identity_composition(X, s: int):
                           max_abs_dev=max_abs, max_rel_dev=max_abs)
 
 
-def _identity_reg_inverse_bound(X, dist):
-    n, d = X.shape
-    s, lam = dist.s, dist.lam
-    dlam = d_lambda(X, lam)
-    if s < dlam:
-        raise UnsupportedCombination(
-            f"bound requires s >= d_lambda = {dlam:.3f}, got s={s}"
-        )
-    lhs = _expect_over(dist, lambda S: linalg.inv_spd(linalg.gram(X[list(S)], lam)))
-    rhs = (n - dlam + 1) / (s - dlam + 1) * linalg.inv_spd(linalg.gram(X, lam))
-    return _deviation_report("REG_INVERSE_BOUND", lhs, rhs, mode="inequality")
-
-
 def _identity_normalization(X, s: int, lam: float):
     """Weight sum sum_i h_i = |S| - d + lam*tr(Z) at every subset of size >= s.
 
@@ -412,30 +401,17 @@ def verify_identity(identity: str, X, y=None, s: Optional[int] = None,
         return _identity_composition(X, s)
     if identity == "NORMALIZATION":
         return _identity_normalization(X, s, lam)
+    if identity not in _EXPECTATIONS:
+        raise UnsupportedCombination(f"unknown identity {identity!r}")
+    fn, mode = _EXPECTATIONS[identity]
     if dist is None:
         dist = exact_distribution(X, s, lam)
     if identity != "REG_INVERSE_BOUND" and dist.lam != 0.0:
         raise UnsupportedCombination(
             f"{identity} is an unregularized identity (lam must be 0)")
-    if identity == "PSEUDOINV_UNBIASED":
-        return _identity_pseudoinv(X, dist)
-    if identity == "COV_INVERSE":
-        return _identity_cov_inverse(X, dist, equality)
-    if identity == "FROBENIUS":
-        return _identity_frobenius(X, dist, equality)
-    if identity == "COVARIANCE":
-        return _identity_covariance(X, dist, equality)
-    if identity == "PROJ_SQUARE":
-        return _identity_proj_square(X, dist, equality)
-    if identity == "LOSS_FACTOR":
-        if y is None:
-            raise UnsupportedCombination("LOSS_FACTOR needs a response vector")
-        return _identity_loss_factor(X, linalg.as_vector(y), dist, equality)
-    if identity == "MARGINALS":
-        return _identity_marginals(X, dist)
-    if identity == "REG_INVERSE_BOUND":
-        return _identity_reg_inverse_bound(X, dist)
-    raise UnsupportedCombination(f"unknown identity {identity!r}")
+    lhs, rhs = fn(X, y, dist)
+    return _deviation_report(identity, lhs, rhs,
+                             mode or ("equality" if equality else "inequality"))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +436,7 @@ def oracle_sample(X, s: int, lam: float = 0.0,
     c = np.cumsum(probs)
     pos = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
     pos = min(pos, len(subsets) - 1)
-    return sampling.SubsetSample(indices=subsets[pos], s=s, lam=lam,
-                                 algorithm="oracle", seed=seed)
+    return sampling.SubsetSample(indices=subsets[pos], s=s, algorithm="oracle")
 
 
 @dataclass

@@ -97,9 +97,7 @@ class SubsetSample:
 
     indices: tuple[int, ...]
     s: int
-    lam: float
     algorithm: str
-    seed: Optional[int]
     rejection_trials: Optional[int] = None
     removal_order: Optional[tuple[int, ...]] = None
     multiset: bool = False
@@ -411,7 +409,7 @@ def _catch_up(state: DowndateState, block: _RemovedBlock) -> None:
 
 
 def _reject_rows(state: DowndateState, cutoff: int, s: int,
-                 rng: np.random.Generator, removed: list) -> int:
+                 rng: np.random.Generator) -> int:
     """Remove rows by rejection down to ``cutoff``; returns the proposal count.
 
     Each trial proposes a uniform active row (one ``integers`` draw) and
@@ -450,7 +448,7 @@ def _reject_rows(state: DowndateState, cutoff: int, s: int,
             raise AllWeightsZero(
                 f"{REJECTION_CAP} proposals in a row rejected with {k} rows left")
         trials += t
-        removed.append(remove_row(state, pos, h_i=h0))
+        remove_row(state, pos, h_i=h0)
         block.mu += 1.0 - h0  # the sync leverage
         # a resync pays off only through the proposals after it: none
         # past the cutoff (_catch_up follows), only mu < 1 for the last one
@@ -485,19 +483,19 @@ def _volume_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator],
     cfg.validate(n, d)
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     state = _state if _state is not None else init_downdate_state(X, cfg.lam)
+    start = state.size
     fast = algorithm == "fastregvol"
-    removed = []
-    trials = _reject_rows(state, max(cfg.s, 2 * d), cfg.s, rng, removed) if fast else None
+    trials = _reject_rows(state, max(cfg.s, 2 * d), cfg.s, rng) if fast else None
     while state.size > cfg.s:
         pos = _pick_weighted(state.h[: state.size], rng)
         if pos >= 0:
-            removed.append(remove_row(state, pos))
+            remove_row(state, pos)
             continue
         # volume-0 frontier: all weights vanished, remove uniformly; the
         # rank-one downdate is invalid there, so rebuild instead.  A failed
         # rebuild zeroes the weights, which keeps the next removals uniform
         pos = int(rng.integers(state.size))
-        removed.append(_swap_out(state, pos))
+        _swap_out(state, pos)
         try:
             _refresh(state)
         except NotPositiveDefinite:
@@ -505,11 +503,10 @@ def _volume_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator],
     return SubsetSample(
         indices=tuple(state.indices),
         s=cfg.s,
-        lam=cfg.lam,
         algorithm=algorithm,
-        seed=cfg.seed,
         rejection_trials=trials,
-        removal_order=tuple(removed),
+        # _swap_out leaves the removed rows past the prefix, newest first
+        removal_order=tuple(state.active[cfg.s:start][::-1].tolist()),
     )
 
 
@@ -552,9 +549,7 @@ def leverage_iid_sample(X, s: int, lam: float = 0.0,
     return SubsetSample(
         indices=tuple(int(i) for i in idx),
         s=s,
-        lam=lam,
         algorithm="leverage",
-        seed=seed,
         multiset=True,
         importance_weights=weights,
     )

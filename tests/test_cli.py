@@ -3,10 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volsample import datasets, linalg, oracle
 from volsample.cli import main
-from volsample.errors import DimensionMismatch, ParseError
+from volsample.errors import DimensionMismatch, ParseError, VolsampleError
 
 DEGENERATE_CSV = "x1,x2,y\n1,1,1\n1,1,0\n1,0,0\n"
 
@@ -181,6 +183,46 @@ def test_undecodable_input_is_json_parse_error(tmp_path, capsys, fmt, data):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "parse_error"
 
 
+# number characters, separators, words and every line break that
+# str.splitlines honours
+FUZZ_TOKENS = [*"0123456789,:.eE+-_", "nan", "inf", " ", "\t",
+               "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def fuzzed_texts(draw, libsvm: bool) -> str:
+    """A valid small file of the format with up to four tokens put in or over it."""
+    rows = draw(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=3),
+                         min_size=1, max_size=4))
+    if libsvm:
+        lines = [f"{r[0]} " + " ".join(f"{j}:{v}" for j, v in enumerate(r[1:], 1))
+                 for r in rows]
+    else:
+        lines = [",".join(map(str, r)) for r in rows]
+    text = list("\n".join(lines))
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(text)))
+        text[pos:pos + draw(st.integers(0, 1))] = [draw(st.sampled_from(FUZZ_TOKENS))]
+    return "".join(text)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("libsvm", [False, True], ids=["csv", "libsvm"])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_parser_fuzz_gives_dataset_or_error(libsvm, data):
+    text = data.draw(st.one_of(
+        st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40).map("".join),
+        fuzzed_texts(libsvm)))
+    parse = datasets.parse_libsvm_text if libsvm else datasets.parse_csv_text
+    try:
+        ds = parse(text)
+    except VolsampleError:
+        return
+    assert isinstance(ds, datasets.Dataset)
+
+
 # (argv, environment): each once escaped as a traceback or a NaN report
 BAD_VALUES = [
     ("sample --algorithm leverage --seed -1", {}),
@@ -192,9 +234,14 @@ BAD_VALUES = [
     ("regress --lambda-grid 1,x", {}),
     ("bench --sizes 100,x", {}),
     ("bench --sizes 100,200 --d 0", {}),
+    ("bench --sizes 100", {}),  # a log-log slope needs two distinct sizes
+    ("bench --sizes 20,20", {}),
     ("sample", {"VOLSAMPLE_SEED": "abc"}),
     ("sample --lambda nan", {}),
     ("regress --algorithm leverage --lambda nan", {}),
+    ("regress --algorithm leverage --size 0", {}),
+    ("regress --algorithm leverage --lambda 0.5 --size 0", {}),
+    ("regress --algorithm oracle --lambda 0.5 --size 0", {}),
 ]
 
 
@@ -206,7 +253,8 @@ def test_bad_value_is_invalid_config(degenerate_csv, capfd, monkeypatch, argv, e
         monkeypatch.setenv(name, value)
     argv = argv.split()
     if argv[0] in ("sample", "regress"):
-        argv += ["--input", degenerate_csv, "--size", "2"]
+        # ahead of the case's own flags, so that a repeated --size overrides
+        argv[1:1] = ["--input", degenerate_csv, "--size", "2"]
     rc = main(argv)
     out, err = capfd.readouterr()
     assert rc == 2 and "Traceback" not in err
@@ -384,9 +432,9 @@ class TestRegressCommand:
         calls = Counter()
         exact = oracle.exact_distribution
 
-        def counted(X, s, lam=0.0, method=None):
+        def counted(X, s, lam=0.0):
             calls[lam] += 1
-            return exact(X, s, lam, method)
+            return exact(X, s, lam)
 
         monkeypatch.setattr(oracle, "exact_distribution", counted)
         rc = main(["regress", "--input", degenerate_csv, "--size", "2",
@@ -415,13 +463,13 @@ class TestBenchCommand:
         assert set(rep["results"]["ratio_regvol_over_fastregvol"]) == {"200", "400"}
 
     def test_reps_below_one_rejected(self, capsys):
-        rc = main(["bench", "--algorithm", "regvol", "--sizes", "20",
+        rc = main(["bench", "--algorithm", "regvol", "--sizes", "20,40",
                    "--d", "4", "--s", "4", "--reps", "0"])
         assert rc == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid_config"
 
     def test_s_larger_than_n_rejected(self, capsys):
-        rc = main(["bench", "--algorithm", "regvol", "--sizes", "20",
+        rc = main(["bench", "--algorithm", "regvol", "--sizes", "20,40",
                    "--d", "4", "--s", "30"])
         assert rc != 0
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid_config"
@@ -435,3 +483,15 @@ class TestVerifyCommand:
         assert rc == 0
         rep = _load_report(out)
         assert rep["results"]["failures"] == 0
+
+    def test_identities_law_built_once_per_size(self, monkeypatch):
+        calls = Counter()
+        exact = oracle.exact_distribution
+
+        def counted(X, s, lam=0.0):
+            calls[X.tobytes(), s, lam] += 1
+            return exact(X, s, lam)
+
+        monkeypatch.setattr(oracle, "exact_distribution", counted)
+        assert main(["verify", "--suite", "identities", "--seed", "7"]) == 0
+        assert calls and max(calls.values()) == 1

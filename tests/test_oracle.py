@@ -35,20 +35,16 @@ class TestExactDistribution:
     def test_dag_matches_closed_form(self):
         X = fixtures.gaussian_matrix(7, 2, seed=3)
         for s in range(2, 8):
-            a = oracle.exact_distribution(X, s, method="closed_form")
-            b = oracle.exact_distribution(X, s, method="dag")
+            a = oracle._closed_form_distribution(X, s)
+            b = oracle._dag_distribution(X, s, 0.0)
             assert set(a.log_probs) == set(b.log_probs)
             for S in a.log_probs:
                 assert a.prob(S) == pytest.approx(b.prob(S), abs=1e-10)
 
     def test_dag_handles_degenerate(self, degenerate):
-        dist = oracle.exact_distribution(degenerate.X, 2, method="dag")
+        dist = oracle._dag_distribution(degenerate.X, 2, 0.0)
         assert dist.prob((0, 1)) == 0.0
         assert dist.prob((0, 2)) == pytest.approx(0.5, abs=1e-12)
-
-    def test_closed_form_rejects_regularized(self, gauss83):
-        with pytest.raises(UnsupportedCombination):
-            oracle.exact_distribution(gauss83, 3, lam=0.5, method="closed_form")
 
     def test_enumeration_guardrail(self):
         X = np.ones((60, 1))

@@ -52,8 +52,8 @@ class TestSolveSubproblem:
         assert np.all(np.isfinite(est.w))
 
     def test_importance_weighted_multiset(self, degenerate):
-        smp = sampling.SubsetSample(indices=(0, 2, 2), s=3, lam=0.0,
-                                    algorithm="leverage", seed=0, multiset=True,
+        smp = sampling.SubsetSample(indices=(0, 2, 2), s=3,
+                                    algorithm="leverage", multiset=True,
                                     importance_weights=(1.0, 0.5, 0.5))
         est = regression.solve_subproblem(degenerate, smp)
         W = np.diag([1.0, 0.5, 0.5])
