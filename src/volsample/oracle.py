@@ -460,17 +460,19 @@ def _cpu_count() -> int:
 
 
 def _count_draws(X, cfg: sampling.SamplerConfig, start: int, stop: int,
-                 base: Optional[sampling.DowndateState]) -> dict[tuple[int, ...], int]:
+                 base: sampling.DowndateState | np.ndarray) -> dict[tuple[int, ...], int]:
     """Subset counts of replicates start..stop-1, keyed in first-seen order.
 
     Replicate r draws from child r of SeedSequence(cfg.seed), spawned here
     so that a worker process receives two integers, not the streams.
-    ``base`` is the volume samplers' initial state (None for leverage).
+    ``base`` is the volume samplers' initial state, copied for every draw,
+    or the leverage sampler's row probabilities, shared by every draw.
     """
     root = np.random.SeedSequence(cfg.seed, n_children_spawned=start)
+    copy = isinstance(base, sampling.DowndateState)
     counts: dict[tuple[int, ...], int] = {}
     for child in root.spawn(stop - start):
-        state = base.copy() if base is not None else None
+        state = base.copy() if copy else base
         smp = sampling.sample(X, cfg, np.random.default_rng(child), _state=state)
         counts[smp.indices] = counts.get(smp.indices, 0) + 1
     return counts
@@ -497,7 +499,8 @@ def empirical_distribution_test(X, cfg: sampling.SamplerConfig,
     draw starts from its own copy of one initial state (Z and all the
     weights, built once here), which the removals (``sampling.remove_row``)
     update in place; the fast sampler's rejection phase decides its first
-    proposals from the copy's weights.
+    proposals from the copy's weights.  Every leverage draw reads the row
+    probabilities computed here for the comparison.
     """
     X = linalg.as_matrix(X)
     n, d = X.shape
@@ -505,8 +508,7 @@ def empirical_distribution_test(X, cfg: sampling.SamplerConfig,
     leverage = cfg.algorithm == "leverage"
     if leverage:
         scores = linalg.leverage_scores(X, cfg.lam)
-        p = scores / scores.sum()
-        base = None
+        base = p = scores / scores.sum()
     else:
         dist = exact_distribution(X, cfg.s, cfg.lam)
         # the initial inverse and weights depend only on (X, lam): build once,

@@ -29,10 +29,12 @@ removal, 1), and the hand-over to the removals by weight downdates Z by
 the rows removed since the last sync.
 
 RNG contract: a seeded numpy Generator (PCG64).  reg_vol_sample draws one
-uniform per removal (cumulative-sum inversion); fast_reg_vol_sample draws
-one integer per proposal and one uniform per Bernoulli accept; leverage
-sampling draws its s indices in a single choice call.  Identical seeds give
-identical samples.
+uniform per removal, inverted over the cumulative weights in the active
+order (above PICK_TWO_LEVEL active rows in two levels, block sums then
+one block; the pick is the one-level pick unless the cursor lies within
+rounding of a row boundary); fast_reg_vol_sample draws one integer per
+proposal and one uniform per Bernoulli accept; leverage sampling draws its
+s indices in a single choice call.  Identical seeds give identical samples.
 """
 
 from __future__ import annotations
@@ -125,6 +127,12 @@ MU_RESYNC = 0.5
 # AllWeightsZero: the mean weight is at least 1/2 above 2d rows, so a sound
 # draw gets there with chance at most 2**-REJECTION_CAP per removal
 REJECTION_CAP = 1000
+# above PICK_TWO_LEVEL active rows _pick_weighted inverts the cumulative sum
+# in two levels: the sums of blocks of PICK_BLOCK rows, then one block.  A
+# sequential prefix sum costs about 3 ns a row and the two levels about 5 us
+# more in fixed calls, so they pay from about 1500 rows (2 vCPUs, numpy 2.4)
+PICK_BLOCK = 256
+PICK_TWO_LEVEL = 1536
 
 
 @dataclass
@@ -133,10 +141,14 @@ class DowndateState:
 
     ``active[:size]`` are the remaining row indices of the design matrix
     ``X`` in removal-stream order, and ``rows[:size]`` holds copies of
-    those rows (kept packed so the weight update touches contiguous
-    memory).  ``G`` is the regularized Gram matrix of the active rows at
-    the last rebuild (init, refresh or resync), ``Z`` the inverse of the
-    current one, and ``h[:size]`` the removal weights, aligned with
+    those rows, packed in a column-major (Fortran-order) array: the weight
+    update's product ``rows[:size] @ v`` then runs as a column-major
+    matrix-vector product, which is faster at small d than a row-major
+    one.  The row swaps, the packing (``take`` into the strided prefix)
+    and the rebuilds work on that prefix as on any other array; ``copy``
+    keeps the layout.  ``G`` is the regularized Gram matrix of the active
+    rows at the last rebuild (init, refresh or resync), ``Z`` the inverse
+    of the current one, and ``h[:size]`` the removal weights, aligned with
     ``active``.  Each removal downdates Z and h; they are rebuilt from
     scratch after ``refresh_every`` downdates, and each refresh sets the
     next interval from the drift it measured.  While ``deferred`` is set
@@ -167,7 +179,7 @@ class DowndateState:
             active=self.active.copy(),
             size=self.size,
             X=self.X,
-            rows=self.rows.copy(),
+            rows=self.rows.copy(order="F"),
             G=self.G,  # replaced, never written in place
             Z=self.Z.copy(),
             lam=self.lam,
@@ -202,7 +214,7 @@ def init_downdate_state(X, lam: float = 0.0) -> DowndateState:
     """Full-set state: every row active, G = X'X + lam*I, Z = G^{-1}, all weights."""
     X = linalg.as_matrix(X)
     n, d = X.shape
-    rows = np.array(X, dtype=np.float64, copy=True)
+    rows = np.array(X, dtype=np.float64, copy=True, order="F")
     G, Z, h = _rebuild(rows, lam)
     return DowndateState(
         active=np.arange(n, dtype=np.intp),
@@ -307,15 +319,36 @@ def remove_row(state: DowndateState, pos: int, h_i: Optional[float] = None) -> i
 def _pick_weighted(h_act: np.ndarray, rng: np.random.Generator) -> int:
     """Cumulative-sum inversion over the active order; one uniform draw.
 
-    Exact-zero weights are never selected.  Returns -1 when the total
-    weight is below tolerance (caller switches to uniform removal).
+    Above PICK_TWO_LEVEL weights the inversion runs in two levels: it
+    finds the cursor's block of PICK_BLOCK rows among the prefix sums of
+    the block sums, then its row among the prefix sums of that block alone.  The picks are those
+    of the one-level inversion except where the cursor lies within
+    rounding of a row boundary.  Exact-zero weights are never selected.
+    Returns -1 when the total weight is below tolerance (caller switches
+    to uniform removal).
     """
-    c = h_act.cumsum()
-    total = c.item(-1)
-    if total <= WEIGHT_ZERO_TOL:
-        return -1
-    u = rng.random() * total
-    pos = int(c.searchsorted(u, side="right"))
+    k = h_act.shape[0]
+    if k <= PICK_TWO_LEVEL:
+        c = h_act.cumsum()
+        total = c.item(-1)
+        if total <= WEIGHT_ZERO_TOL:
+            return -1
+        u = rng.random() * total
+        pos = int(c.searchsorted(u, side="right"))
+    else:
+        block = PICK_BLOCK
+        cs = np.add.reduceat(h_act, np.arange(0, k, block)).cumsum()
+        total = cs.item(-1)
+        if total <= WEIGHT_ZERO_TOL:
+            return -1
+        u = rng.random() * total
+        b = min(int(cs.searchsorted(u, side="right")), cs.shape[0] - 1)
+        if b:
+            u -= cs.item(b - 1)
+        c = h_act[b * block:(b + 1) * block].cumsum()
+        # block sums and the block's own prefix sums round apart, so the
+        # cursor can run past the block's last prefix sum
+        pos = b * block + min(int(c.searchsorted(u, side="right")), c.shape[0] - 1)
     if h_act.item(pos) < WEIGHT_ZERO_TOL:
         # roundoff dust landed under the cursor; take the heaviest row
         pos = int(h_act.argmax())
@@ -532,18 +565,22 @@ def fast_reg_vol_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator
 
 def leverage_iid_sample(X, s: int, lam: float = 0.0,
                         rng: Optional[np.random.Generator] = None,
-                        seed: int = 0) -> SubsetSample:
+                        seed: int = 0, _p: Optional[np.ndarray] = None) -> SubsetSample:
     """Draw s rows i.i.d. proportionally to their leverage scores.
 
     Returns a multiset (with replacement) and the importance weights
-    1/sqrt(s*P(i)) used to rescale the subproblem.
+    1/sqrt(s*P(i)) used to rescale the subproblem.  ``_p`` hands over the
+    probabilities P = scores / scores.sum() of (X, lam), computed once for
+    many draws; it is read, never written.
     """
     X = linalg.as_matrix(X)
     n, d = X.shape
     SamplerConfig(s=s, lam=lam, seed=seed, algorithm="leverage").validate(n, d)
     rng = rng if rng is not None else np.random.default_rng(seed)
-    scores = linalg.leverage_scores(X, lam)
-    p = scores / scores.sum()
+    p = _p
+    if p is None:
+        scores = linalg.leverage_scores(X, lam)
+        p = scores / scores.sum()
     idx = np.sort(rng.choice(n, size=s, replace=True, p=p)) if s > 0 else np.array([], dtype=int)
     weights = tuple(1.0 / np.sqrt(s * p[i]) for i in idx) if s > 0 else ()
     return SubsetSample(
@@ -572,16 +609,16 @@ def marginal_probabilities(X, s: int) -> np.ndarray:
 
 
 def sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator] = None,
-           _state: Optional[DowndateState] = None) -> SubsetSample:
+           _state: Optional[DowndateState | np.ndarray] = None) -> SubsetSample:
     """Draw one sample with the sampler that cfg.algorithm names.
 
-    ``_state`` hands a volume sampler a prepared initial state (the
-    leverage baseline keeps none).
+    ``_state`` hands a volume sampler a prepared initial state, and the
+    leverage baseline its row probabilities (see ``leverage_iid_sample``).
     """
     if cfg.algorithm == "regvol":
         return reg_vol_sample(X, cfg, rng, _state)
     if cfg.algorithm == "fastregvol":
         return fast_reg_vol_sample(X, cfg, rng, _state)
     if cfg.algorithm == "leverage":
-        return leverage_iid_sample(X, cfg.s, cfg.lam, rng, seed=cfg.seed)
+        return leverage_iid_sample(X, cfg.s, cfg.lam, rng, seed=cfg.seed, _p=_state)
     raise InvalidConfig(f"unknown algorithm {cfg.algorithm!r}")

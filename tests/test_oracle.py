@@ -207,6 +207,29 @@ class TestEmpirical:
         se = np.sqrt(p * (1 - p) / (3 * 20_000))
         assert np.all(np.abs(rep.index_marginals - p) <= 4 * se)
 
+    def test_leverage_scores_computed_once(self, gauss83, monkeypatch):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+        calls = []
+        scores = linalg.leverage_scores
+        monkeypatch.setattr(linalg, "leverage_scores",
+                            lambda *args: calls.append(args) or scores(*args))
+        cfg = sampling.SamplerConfig(s=3, seed=4, algorithm="leverage")
+        oracle.empirical_distribution_test(gauss83, cfg, draws=50)
+        assert len(calls) == 1
+
+    def test_regvol_conformance_through_two_level_pick(self, monkeypatch):
+        # criterion 04's design: blocks of 3 send every pick above 3 active
+        # rows through the two-level inversion; the draws stay in-process,
+        # where the patch holds
+        monkeypatch.setattr(sampling, "PICK_BLOCK", 3)
+        monkeypatch.setattr(sampling, "PICK_TWO_LEVEL", 3)
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 1)
+        X = fixtures.gaussian_matrix(8, 3, seed=11)
+        cfg = sampling.SamplerConfig(s=3, seed=977)
+        rep = oracle.empirical_distribution_test(X, cfg, draws=100_000)
+        assert rep.tv_distance < 0.02
+        assert rep.off_support_draws == 0
+
     def test_deterministic_given_seed(self, gauss83):
         cfg = sampling.SamplerConfig(s=3, seed=99)
         a = oracle.empirical_distribution_test(gauss83, cfg, draws=2000)

@@ -183,6 +183,15 @@ class TestLeverageIID:
         for idx, w in zip(smp.indices, smp.importance_weights):
             assert w == pytest.approx(1.0 / np.sqrt(4 * p[idx]))
 
+    def test_handed_probabilities_give_same_draws(self, gauss83):
+        scores = linalg.leverage_scores(gauss83, 0.5)
+        p = scores / scores.sum()
+        cfg = SamplerConfig(s=6, lam=0.5, seed=8, algorithm="leverage")
+        for child in np.random.SeedSequence(cfg.seed).spawn(20):
+            fresh = sampling.sample(gauss83, cfg, np.random.default_rng(child))
+            handed = sampling.sample(gauss83, cfg, np.random.default_rng(child), _state=p)
+            assert handed == fresh
+
 
 class TestMarginals:
     def test_full_size(self, gauss83):
@@ -579,3 +588,104 @@ class TestDeferredBracket:
         if block.mu >= 1.0:
             return
         self.assert_bracket(X, lam, state, block.mu)
+
+
+class _FixedRng:
+    """A Generator stand-in whose ``random`` returns one given uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+# a grid of uniforms with both ends of [0, 1)
+PICK_UNIFORMS = [0.0, np.nextafter(1.0, 0.0), *np.linspace(0.0, 1.0, 97)[1:-1]]
+
+
+def _pick_weights(block):
+    """Weight vectors for a two-level pick with blocks of ``block`` rows."""
+    k = 4 * block + 1  # the last block is short
+    h = np.random.default_rng(block).random(k)
+    sparse = h.copy()
+    sparse[::3] = 0.0
+    first, middle, last = h.copy(), h.copy(), h.copy()
+    first[:block] = 0.0
+    middle[2 * block:3 * block] = 0.0
+    last[3 * block:] = 0.0
+    one = np.zeros(k)
+    one[k // 2] = 0.7
+    return {"dense": h, "sparse": sparse, "first": first, "middle": middle,
+            "last": last, "one": one}
+
+
+class TestTwoLevelPick:
+    """Above PICK_TWO_LEVEL rows _pick_weighted inverts block sums, then one
+    block; the tests set both constants to the block size."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        def set_block(block):
+            monkeypatch.setattr(sampling, "PICK_BLOCK", block)
+            monkeypatch.setattr(sampling, "PICK_TWO_LEVEL", block)
+        return set_block
+
+    @pytest.mark.parametrize("block", [2, 3, 5])
+    def test_matches_one_level(self, block, blocks):
+        for name, h in _pick_weights(block).items():
+            k = h.shape[0]
+            c = h.cumsum()
+            total = c[-1]
+            tol = 4 * k * np.finfo(float).eps * total
+            # cursors on the row boundaries too, where the two may differ
+            compared = 0
+            for u in PICK_UNIFORMS + [x / total for x in c if x < total]:
+                blocks(k)
+                want = sampling._pick_weighted(h, _FixedRng(u))
+                blocks(block)
+                got = sampling._pick_weighted(h, _FixedRng(u))
+                assert 0 <= got < k and h[got] > 0.0, (name, u, got)
+                if np.abs(c - u * total).min() > tol:
+                    assert got == want, (name, u)
+                    compared += 1
+            assert compared >= len(PICK_UNIFORMS) // 2
+
+    def test_zero_weights_give_no_pick(self, blocks):
+        blocks(3)
+        assert sampling._pick_weighted(np.zeros(10), _FixedRng(0.5)) == -1
+
+    # block sums 1.8766..., 2.0015... whose running sum rounds up: the
+    # largest cursor below it, less the first block's sum, equals the second
+    # block's sum, which is also its last prefix sum
+    OVERSHOOT = [0.12565512106399138, 1.0009136907627074, 0.7500652704164112,
+                 0.5008349882039584, 0.8753818147799662, 0.6253255456161007]
+
+    def test_cursor_past_block_end_is_clamped(self, blocks):
+        blocks(3)
+        h = np.array(self.OVERSHOOT)
+        u = np.nextafter(1.0, 0.0)
+        cs = np.add.reduceat(h, [0, 3]).cumsum()
+        assert u * cs[-1] - cs[0] >= h[3:].cumsum()[-1]
+        assert sampling._pick_weighted(h, _FixedRng(u)) == 5
+
+
+class TestRowLayout:
+    def test_rows_column_major(self):
+        state = sampling.init_downdate_state(LARGE_X["gauss"])
+        assert state.rows.flags.f_contiguous
+        assert state.copy().rows.flags.f_contiguous
+
+    @pytest.mark.parametrize("algorithm", ["regvol", "fastregvol"])
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_copied_state_draws_as_fresh(self, algorithm, lam):
+        X = LARGE_X["gauss"]
+        base = sampling.init_downdate_state(X, lam)
+        cfg = SamplerConfig(s=LARGE_S, lam=lam, seed=12, algorithm=algorithm)
+        for child in np.random.SeedSequence(cfg.seed).spawn(2):
+            fresh = sampling.sample(X, cfg, np.random.default_rng(child))
+            copied = sampling.sample(X, cfg, np.random.default_rng(child),
+                                     _state=base.copy())
+            assert copied.indices == fresh.indices
+            assert copied.removal_order == fresh.removal_order
+            assert copied.rejection_trials == fresh.rejection_trials
