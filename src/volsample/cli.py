@@ -16,6 +16,7 @@ The ``VOLSAMPLE_SEED`` environment variable supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -39,6 +40,10 @@ THRESHOLDS = {
     "marginal_se": 4,  # leverage marginals: standard errors off, at most
     "bound_se": 3,  # regression bounds: standard errors above the bound, at most
 }
+# ``regress`` draws in worker processes from this many rows times volume
+# (regvol, fastregvol) draws up; below it, starting the workers costs about
+# as much as they save (see BENCH_regress_workers.json)
+PARALLEL_MIN_ROW_DRAWS = 20_000
 
 
 def _parse(text: str, convert, name: str):
@@ -132,6 +137,18 @@ def cmd_sample(args) -> dict:
 
 
 def cmd_regress(args) -> dict:
+    """Mean loss, and with ``--average`` the averaged estimator's loss, over
+    ``--replicates`` subsets per (algorithm, lambda).
+
+    Replicate r draws from child r of ``SeedSequence(seed)``.  From
+    ``PARALLEL_MIN_ROW_DRAWS`` rows times volume draws up, with more than
+    one CPU and at least two volume draws, every non-oracle draw is a job
+    of ``oracle.worker_pool``, submitted in loop order; the loop then takes
+    each one's result where it would have drawn, so a sampler error is
+    raised where the serial loop would raise it.  Oracle draws, warnings,
+    solves and losses run in this process in either case, and the report
+    does not depend on the CPU count.
+    """
     if args.replicates < 1:
         raise InvalidConfig(f"--replicates must be at least 1, got {args.replicates}")
     if args.size < 1:
@@ -144,42 +161,60 @@ def cmd_regress(args) -> dict:
             if args.lambda_grid else [args.lam])
     for lam in lams:
         sampling.check_lam(lam)
+    for alg in algorithms:
+        if alg not in sampling.ALGORITHMS + ("oracle",):
+            raise InvalidConfig(f"unknown algorithm {alg!r}")
     k = args.replicates
     children = np.random.SeedSequence(args.seed).spawn(k)
     volume = ("regvol", "fastregvol")
     # the d_lambda warning concerns the volume samplers only: one per lambda
     dl_warnings = ({lam: _dlambda_warning(p.X, args.size, lam) for lam in lams}
                    if set(volume) & set(algorithms) else {})
+    # leverage draws cost too little to pay for a worker: only the volume
+    # draws count towards the switch
+    draws = sum(alg in volume for alg in algorithms) * len(lams) * k
+    parallel = (oracle._cpu_count() > 1 and draws >= 2
+                and p.n * draws >= PARALLEL_MIN_ROW_DRAWS)
+    jobs = ([(sampling.sample, p.X,
+              sampling.SamplerConfig(s=args.size, lam=lam, algorithm=alg),
+              np.random.default_rng(child))
+             for alg in algorithms if alg != "oracle"
+             for lam in lams for child in children] if parallel else [])
     results = {}
     warnings = []
-    for alg in algorithms:
-        per_lam = {}
-        for lam in lams:
-            if alg in volume:
-                warnings += [f"[{alg} lambda={lam}] {w}" for w in dl_warnings[lam]]
-            cfg = sampling.SamplerConfig(s=args.size, lam=lam, algorithm=alg)
-            # the exact law depends on (X, s, lam) only: one per replicate set
-            dist = oracle.exact_distribution(p.X, args.size, lam) if alg == "oracle" else None
-            losses = []
-            samples = []
-            for child in children:
-                smp = _draw(p.X, cfg, np.random.default_rng(child), dist)
-                samples.append(smp)
-                est = regression.solve_subproblem(p, smp, lam)
-                losses.append(regression.total_loss(p, est))
-            losses = np.asarray(losses)
-            se = float(losses.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
-            entry = {
-                "replicates": k,
-                "mean_total_loss": float(losses.mean()),
-                "se_total_loss": se,
-                "mean_loss_per_row": float(losses.mean() / p.n),
-            }
-            if args.average:
-                avg = regression.averaged_estimator(p, samples, lam)
-                entry["averaged_total_loss"] = regression.total_loss(p, avg)
-            per_lam[str(lam)] = entry
-        results[alg] = per_lam
+    with oracle.worker_pool(jobs) if parallel else contextlib.nullcontext([]) as futures:
+        drawn = iter(futures)
+        for alg in algorithms:
+            per_lam = {}
+            for lam in lams:
+                if alg in volume:
+                    warnings += [f"[{alg} lambda={lam}] {w}" for w in dl_warnings[lam]]
+                cfg = sampling.SamplerConfig(s=args.size, lam=lam, algorithm=alg)
+                # the exact law depends on (X, s, lam) only: one per replicate set
+                dist = oracle.exact_distribution(p.X, args.size, lam) if alg == "oracle" else None
+                losses = []
+                samples = []
+                for child in children:
+                    if parallel and alg != "oracle":
+                        smp = next(drawn).result()
+                    else:
+                        smp = _draw(p.X, cfg, np.random.default_rng(child), dist)
+                    samples.append(smp)
+                    est = regression.solve_subproblem(p, smp, lam)
+                    losses.append(regression.total_loss(p, est))
+                losses = np.asarray(losses)
+                se = float(losses.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+                entry = {
+                    "replicates": k,
+                    "mean_total_loss": float(losses.mean()),
+                    "se_total_loss": se,
+                    "mean_loss_per_row": float(losses.mean() / p.n),
+                }
+                if args.average:
+                    avg = regression.averaged_estimator(p, samples, lam)
+                    entry["averaged_total_loss"] = regression.total_loss(p, avg)
+                per_lam[str(lam)] = entry
+            results[alg] = per_lam
     t2 = time.perf_counter()
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -22,6 +22,7 @@ errors -- the oracle never approximates.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -459,6 +460,30 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def worker_pool(jobs):
+    """Run every ``(fn, *args)`` of ``jobs`` as ``fn(*args)`` in worker
+    processes and yield the futures, in job order.
+
+    There is one worker per available CPU (``_cpu_count`` at call time), and
+    no more than one per job.  A job's exception is raised, as the same
+    exception class, by its future's ``result()``.  On leaving the block,
+    normally or by an exception, the jobs still queued are cancelled, the
+    running ones finish, and the workers have exited.  The pool uses the
+    platform's default start method (``fork`` on Linux), which starts every
+    worker on the first ``submit``, before the executor starts its manager
+    thread; ``spawn`` would import numpy and scipy again in every worker.
+    """
+    # imported here, as it costs every CLI start about 7 ms otherwise
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=min(len(jobs), _cpu_count()))
+    try:
+        yield [pool.submit(*job) for job in jobs]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _count_draws(X, cfg: sampling.SamplerConfig, start: int, stop: int,
                  base: sampling.DowndateState | np.ndarray) -> dict[tuple[int, ...], int]:
     """Subset counts of replicates start..stop-1, keyed in first-seen order.
@@ -491,16 +516,17 @@ def empirical_distribution_test(X, cfg: sampling.SamplerConfig,
 
     From ``PARALLEL_MIN_DRAWS`` draws up, for every sampler, the replicates
     are cut into contiguous chunks, one per available CPU, and each chunk is
-    counted in a worker process; the workers have exited when this returns,
-    and a sampler error raised in one reaches the caller as the same
-    exception class.  The chunk counts are merged in chunk order, which
-    gives the serial run's counts in the serial run's first-seen order, so
-    the report does not depend on how many CPUs there are.  Every volume
-    draw starts from its own copy of one initial state (Z and all the
-    weights, built once here), which the removals (``sampling.remove_row``)
-    update in place; the fast sampler's rejection phase decides its first
-    proposals from the copy's weights.  Every leverage draw reads the row
-    probabilities computed here for the comparison.
+    counted in a worker process of ``worker_pool``; the workers have exited
+    when this returns, and a sampler error raised in one reaches the caller
+    as the same exception class.  The chunk counts are merged in chunk
+    order, which gives the serial run's counts in the serial run's
+    first-seen order, so the report does not depend on how many CPUs there
+    are.  Every volume draw starts from its own copy of one initial state
+    (Z and all the weights, built once here), which the removals
+    (``sampling.remove_row``) update in place; the fast sampler's rejection
+    phase decides its first proposals from the copy's weights.  Every
+    leverage draw reads the row probabilities computed here for the
+    comparison.
     """
     X = linalg.as_matrix(X)
     n, d = X.shape
@@ -518,13 +544,9 @@ def empirical_distribution_test(X, cfg: sampling.SamplerConfig,
     if chunks == 1:
         parts = [_count_draws(X, cfg, 0, draws, base)]
     else:
-        # imported here, as it costs every CLI start about 7 ms otherwise
-        from concurrent.futures import ProcessPoolExecutor
-
         bounds = [draws * j // chunks for j in range(chunks + 1)]
-        with ProcessPoolExecutor(max_workers=chunks) as pool:
-            futures = [pool.submit(_count_draws, X, cfg, lo, hi, base)
-                       for lo, hi in zip(bounds, bounds[1:])]
+        with worker_pool([(_count_draws, X, cfg, lo, hi, base)
+                          for lo, hi in zip(bounds, bounds[1:])]) as futures:
             parts = [f.result() for f in futures]
     counts: dict[tuple[int, ...], int] = {}
     for part in parts:

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 from collections import Counter
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volsample import datasets, linalg, oracle
+from volsample import cli, datasets, linalg, oracle, sampling
 from volsample.cli import main
 from volsample.errors import DimensionMismatch, ParseError, VolsampleError
 
@@ -449,6 +451,122 @@ class TestRegressCommand:
                    "--replicates", count])
         assert rc == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid_config"
+
+
+    @pytest.mark.parametrize("names,bad", [("regvol,bogus", "bogus"), ("regvol,", "")])
+    def test_unknown_algorithm_rejected_before_any_draw(self, degenerate_csv, capsys,
+                                                        monkeypatch, names, bad):
+        calls = Counter()
+        draw = sampling.reg_vol_sample
+
+        def counted(*args, **kwargs):
+            calls["reg_vol_sample"] += 1
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "reg_vol_sample", counted)
+        rc = main(["regress", "--input", degenerate_csv, "--size", "2",
+                   "--algorithm", names, "--replicates", "3"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"code": "invalid_config", "message": f"unknown algorithm {bad!r}"}
+        assert calls == {}
+
+
+def _gaussian_csv(path, n, seed):
+    """An n x 2 Gaussian design with a noisy response, as a headerless CSV."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 2))
+    np.savetxt(path, np.column_stack([X, X.sum(axis=1) + rng.standard_normal(n)]),
+               delimiter=",")
+    return str(path)
+
+
+class TestRegressWorkers:
+    """``regress`` draws in worker processes from ``PARALLEL_MIN_ROW_DRAWS`` up,
+    with the same report, and the same first error, as in-process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Job counts of the worker pools ``regress`` starts."""
+        started = []
+        pool = oracle.worker_pool
+        monkeypatch.setattr(oracle, "worker_pool",
+                            lambda jobs: started.append(len(jobs)) or pool(jobs))
+        return started
+
+    def _run(self, argv, capfd, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}.json"
+        rc = main([*argv, "--json", str(out)])
+        stdout, stderr = capfd.readouterr()
+        assert multiprocessing.active_children() == []
+        return rc, stdout, stderr, _strip_timings(_load_report(out))
+
+    def test_report_independent_of_cpu_count(self, tmp_path, capfd, monkeypatch, pools):
+        monkeypatch.setattr(cli, "PARALLEL_MIN_ROW_DRAWS", 16)
+        argv = ["regress", "--input", _gaussian_csv(tmp_path / "g.csv", 12, 5),
+                "--size", "3", "--algorithm", "regvol,fastregvol,leverage,oracle",
+                "--lambda-grid", "0,0.5", "--replicates", "6", "--average", "--seed", "4"]
+        one = self._run(argv, capfd, tmp_path, monkeypatch, 1)
+        assert pools == []
+        two = self._run(argv, capfd, tmp_path, monkeypatch, 2)
+        assert pools == [3 * 2 * 6]  # every non-oracle draw is one job
+        assert one[0] == 0
+        assert one == two
+
+    def test_first_error_keeps_serial_precedence(self, tmp_path, capfd, monkeypatch,
+                                                 pools):
+        # the leverage replicate's solve fails before the regvol draws' size
+        # check is reached; collecting every draw first would report the latter
+        monkeypatch.setattr(cli, "PARALLEL_MIN_ROW_DRAWS", 1)
+        argv = ["regress", "--input", _gaussian_csv(tmp_path / "g.csv", 8000, 6),
+                "--size", "1", "--lambda", "0", "--algorithm", "leverage,regvol",
+                "--replicates", "2"]
+        one = self._run(argv, capfd, tmp_path, monkeypatch, 1)
+        two = self._run(argv, capfd, tmp_path, monkeypatch, 2)
+        assert pools == [4]
+        assert one[0] == 2
+        assert one[3]["error"] == {"code": "rank_deficient_subset",
+                                   "message": "subset of 1 rows is rank deficient at lam=0.0"}
+        assert one == two
+
+    def test_worker_error_reaches_report(self, tmp_path, capfd, monkeypatch, pools):
+        monkeypatch.setattr(cli, "PARALLEL_MIN_ROW_DRAWS", 1)
+        calls = Counter()
+        draw = sampling.reg_vol_sample
+
+        def counted(*args, **kwargs):  # counts in this process only
+            calls["reg_vol_sample"] += 1
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "reg_vol_sample", counted)
+        argv = ["regress", "--input", _gaussian_csv(tmp_path / "g.csv", 64, 7),
+                "--size", "1", "--lambda", "0", "--algorithm", "regvol",
+                "--replicates", "2"]
+        rc, _, _, report = self._run(argv, capfd, tmp_path, monkeypatch, 2)
+        assert rc == 2 and pools == [2] and calls == {}
+        assert report["error"]["code"] == "invalid_config"
+        assert "needs d <= s <= n" in report["error"]["message"]
+
+    def test_small_or_leverage_runs_start_no_worker(self, degenerate_csv, tmp_path,
+                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        blocks = np.tile(np.eye(4), (8, 1))
+        path = tmp_path / "blocks.csv"
+        np.savetxt(path, np.column_stack([blocks, blocks.sum(axis=1)]), delimiter=",")
+        assert 32 * 200 < cli.PARALLEL_MIN_ROW_DRAWS  # rows times volume draws
+        for argv in (
+            ["--input", degenerate_csv, "--size", "2", "--replicates", "400"],
+            ["--input", str(path), "--size", "4", "--lambda", "0.25",
+             "--algorithm", "regvol,leverage", "--replicates", "200"],
+            # leverage draws do not count towards the switch
+            ["--input", _gaussian_csv(tmp_path / "g.csv", cli.PARALLEL_MIN_ROW_DRAWS, 8),
+             "--size", "4", "--algorithm", "leverage", "--replicates", "2"],
+        ):
+            assert main(["regress", *argv, "--seed", "3"]) == 0
 
 
 class TestBenchCommand:
