@@ -35,6 +35,11 @@ one block; the pick is the one-level pick unless the cursor lies within
 rounding of a row boundary); fast_reg_vol_sample draws one integer per
 proposal and one uniform per Bernoulli accept; leverage sampling draws its
 s indices in a single choice call.  Identical seeds give identical samples.
+The rejection phase reads its (integers(k), random()) pairs in blocks from
+raw PCG64 output (``_proposals``) and leaves the generator where the
+scalar calls would; it makes the scalar calls for other bit generators,
+while fewer than REPLAY_MIN rows lie above its cutoff, and for a proposal
+where Lemire's method draws a second word.
 """
 
 from __future__ import annotations
@@ -133,6 +138,13 @@ REJECTION_CAP = 1000
 # more in fixed calls, so they pay from about 1500 rows (2 vCPUs, numpy 2.4)
 PICK_BLOCK = 256
 PICK_TWO_LEVEL = 1536
+# the rejection phase decodes its proposals from raw PCG64 output while at
+# least REPLAY_MIN rows lie above its cutoff, in blocks of at most
+# REPLAY_BATCH proposals.  A proposal costs about 1.6 us by the scalar calls
+# and 0.3 us decoded, a block about 24 us more (state copies, numpy passes;
+# 2 vCPUs, numpy 2.4), so a block pays from about 20 proposals
+REPLAY_MIN = 64
+REPLAY_BATCH = 2**14
 
 
 @dataclass
@@ -441,13 +453,91 @@ def _catch_up(state: DowndateState, block: _RemovedBlock) -> None:
         state.h = _fresh_weights(state.rows[:k], Z)
 
 
+def _decode(raw: np.ndarray, has_uint32: int, uinteger: int):
+    """The (word, uniform) pairs that scalar integers/random calls read from ``raw``.
+
+    ``raw`` is PCG64 output taken with the 32-bit buffer in the given state,
+    of length ``has_uint32 + 3 T``.  ``integers(k)`` takes one 32-bit word:
+    the buffered high half if there is one, else the low half of the next
+    output, whose high half it buffers.  ``random()`` takes a whole output,
+    (r >> 11) * 2**-53, and leaves the buffer alone.  So a buffered word
+    pairs with raw[0], and each later output triple (a, x, y) gives the
+    pairs (low a, x) and (high a, y).
+    """
+    a, x, y = (raw[has_uint32 + i::3] for i in range(3))
+    words = np.column_stack((a & np.uint64(0xFFFFFFFF), a >> np.uint64(32))).ravel()
+    uniforms = np.concatenate((raw[:has_uint32], np.column_stack((x, y)).ravel()))
+    uniforms = (uniforms >> np.uint64(11)) * 2.0**-53
+    return [uinteger] * has_uint32 + words.tolist(), uniforms.tolist()
+
+
+def _commit(bitgen: np.random.PCG64, start: dict, words: list, j: int) -> None:
+    """Set ``bitgen`` to where ``j`` integers/random pairs from ``start`` leave it.
+
+    ``words`` are those that ``_decode`` gave from ``start``.  A generator
+    state carries the last buffered half even once it is read.
+    """
+    has = start["has_uint32"]
+    bitgen.state = start
+    p = j - has  # pairs decoded from output triples
+    if p >= 0:
+        bitgen.advance(has + 3 * (p // 2) + 2 * (p % 2))  # clears the buffer
+        state = bitgen.state
+        state["has_uint32"] = p % 2
+        state["uinteger"] = words[has + 2 * ((p - 1) // 2) + 1] if p else start["uinteger"]
+        bitgen.state = state
+
+
+def _proposals(rng: np.random.Generator, cutoff: int):
+    """The rejection phase's proposals: a coroutine sent the active row count.
+
+    Prime it with ``next``; each ``send(k)`` then returns the pair
+    ``(rng.integers(k), rng.random())`` and ``close`` leaves ``rng`` where
+    those scalar calls would.  From a PCG64 generator, while k < 2**32 and
+    at least REPLAY_MIN rows lie above ``cutoff`` >= 1 (so k >= 2), the
+    pairs come from one ``random_raw`` block per up to REPLAY_BATCH
+    proposals (``_decode``), sized to the rows left plus a margin, and the
+    generator state is set back once the block ends (``_commit``).  The
+    position is Lemire's (w k) >> 32 of the word w; where Lemire's method
+    would draw another word, the block ends and that one proposal is drawn
+    by the scalar calls.  Other generators get the scalar calls throughout.
+    """
+    integers, random = rng.integers, rng.random
+    bitgen = getattr(rng, "bit_generator", None)
+    k = yield
+    while (type(bitgen) is np.random.PCG64 and cutoff > 0 and k < 2**32
+           and k - cutoff >= REPLAY_MIN):
+        start = bitgen.state
+        has = start["has_uint32"]
+        rows = k - cutoff
+        pairs = min(REPLAY_BATCH, rows + rows // 8 + REPLAY_MIN) - has
+        raw = bitgen.random_raw(has + 3 * -(-pairs // 2))
+        words, uniforms = _decode(raw, has, start["uinteger"])
+        j = 0
+        try:
+            for w, u in zip(words, uniforms):
+                m = w * k
+                if (m & 0xFFFFFFFF) < k and (m & 0xFFFFFFFF) < (2**32 - k) % k:
+                    break  # Lemire's rejection: integers(k) reads another word
+                j += 1
+                k = yield m >> 32, u
+            else:
+                continue
+        finally:
+            _commit(bitgen, start, words, j)
+        k = yield integers(k), random()
+    while True:
+        k = yield integers(k), random()
+
+
 def _reject_rows(state: DowndateState, cutoff: int, s: int,
                  rng: np.random.Generator) -> int:
     """Remove rows by rejection down to ``cutoff``; returns the proposal count.
 
     Each trial proposes a uniform active row (one ``integers`` draw) and
     accepts it with probability equal to its current weight h (one
-    ``random`` draw u).  Downdates are deferred: with the weight h0 of the
+    ``random`` draw u); ``_proposals`` reads these pairs in blocks from raw
+    PCG64 output.  Downdates are deferred: with the weight h0 of the
     row at the last sync and the block bound mu,
     h0 >= h >= _weight_floor(h0, mu), so u >= h0 rejects and u below the
     floor accepts; a u in between is compared with the exact weight
@@ -462,37 +552,41 @@ def _reject_rows(state: DowndateState, cutoff: int, s: int,
     if state.size <= cutoff:
         return 0
     h = state.h
-    integers, random = rng.integers, rng.random
+    proposals = _proposals(rng, cutoff)
+    next(proposals)
+    propose = proposals.send
     state.deferred = True
     block = _RemovedBlock(state)
     trials = 0
-    while state.size > cutoff:
-        k = state.size
-        for t in range(1, REJECTION_CAP + 1):
-            pos = integers(k)
-            u = random()
-            h0 = h.item(pos)
-            if u >= h0:
-                continue
-            lo = _weight_floor(h0, block.mu)
-            if (u < lo and lo >= WEIGHT_ZERO_TOL) or u < block.weight(state, pos):
-                break
-        else:
-            raise AllWeightsZero(
-                f"{REJECTION_CAP} proposals in a row rejected with {k} rows left")
-        trials += t
-        remove_row(state, pos, h_i=h0)
-        block.mu += 1.0 - h0  # the sync leverage
-        # a resync pays off only through the proposals after it: none
-        # past the cutoff (_catch_up follows), only mu < 1 for the last one
-        limit = MU_RESYNC if state.size > cutoff + 1 else 1.0
-        if block.mu >= limit and state.size > cutoff:
-            block.tighten(state)
-            if block.mu >= limit:
-                _pack_rows(state)
-                _resync(state)
-                h = state.h
-                block = _RemovedBlock(state)
+    try:
+        while state.size > cutoff:
+            k = state.size
+            for t in range(1, REJECTION_CAP + 1):
+                pos, u = propose(k)
+                h0 = h.item(pos)
+                if u >= h0:
+                    continue
+                lo = _weight_floor(h0, block.mu)
+                if (u < lo and lo >= WEIGHT_ZERO_TOL) or u < block.weight(state, pos):
+                    break
+            else:
+                raise AllWeightsZero(
+                    f"{REJECTION_CAP} proposals in a row rejected with {k} rows left")
+            trials += t
+            remove_row(state, pos, h_i=h0)
+            block.mu += 1.0 - h0  # the sync leverage
+            # a resync pays off only through the proposals after it: none
+            # past the cutoff (_catch_up follows), only mu < 1 for the last one
+            limit = MU_RESYNC if state.size > cutoff + 1 else 1.0
+            if block.mu >= limit and state.size > cutoff:
+                block.tighten(state)
+                if block.mu >= limit:
+                    _pack_rows(state)
+                    _resync(state)
+                    h = state.h
+                    block = _RemovedBlock(state)
+    finally:
+        proposals.close()  # sets the generator to the proposals used
     if state.size > s:
         _catch_up(state, block)
     return trials

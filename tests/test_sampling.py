@@ -345,6 +345,20 @@ class TestVolumeSamplerProperties:
         assert all(0 <= i < n for i in smp.indices)
         assert np.linalg.matrix_rank(X[list(smp.indices)]) == d
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(("regvol", "fastregvol")), st.integers(1, 4),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_zero_volume_sets_never_drawn(self, algorithm, d, seed, data):
+        # n - 2d >= REPLAY_MIN: fastregvol's rejection phase reads raw output
+        low = 2 * d + sampling.REPLAY_MIN
+        n = data.draw(st.integers(low, low + 120), label="n")
+        s = data.draw(st.integers(d, 2 * d), label="s")
+        # every row a copy of one of a few: most size-s sets have volume 0
+        distinct = data.draw(st.integers(d, d + 3), label="distinct rows")
+        X = fixtures.gaussian_matrix(distinct, d, seed=seed)[np.arange(n) % distinct]
+        smp = sampling.sample(X, SamplerConfig(s=s, seed=seed, algorithm=algorithm))
+        assert np.linalg.matrix_rank(X[list(smp.indices)]) == d
+
 
 class TestCallTimeLookup:
     """Every draw reaches the sampler through its ``volsample.sampling``
@@ -428,6 +442,20 @@ FAST_RESYNCS = {
     ("cond", 1e-8): [11, 12, 12, 12, 12, 12, 12, 12, 13, 12],
     ("dup", 0.0): [14, 13, 16, 16, 15, 13, 15, 16, 16, 14],
 }
+# where a fastregvol draw leaves the caller's generator: sha256 over the
+# rng.random() that follows the draw, seeds 0-9 (s = LARGE_S), and for a
+# PCG64-free generator sha256 over (indices, removal_order,
+# rejection_trials, next random()); recorded when the rejection phase made
+# one scalar integers/random pair per proposal
+FOLLOW_DIGESTS = {
+    ("gauss", 0.0): "23763f30572e005002931ad27ace6a8fbc233c95b282951e1b93595fd86aa86b",
+    ("gauss", 1.0): "33031c398da2f9133cee514f07cc645237bd8d5db9b2b8b07dfbd3fce615f5f4",
+    ("cond", 0.0): "b8a8002d4efb5ba3f1388c4c12b7bb3b6d7b7a12657075a9283618d2da104055",
+    ("cond", 1.0): "5c2793f49e3af4f5e6a8eb9076e8f3d956d8d800342f030134cb58ec0069c1e3",
+    ("dup", 0.0): "283b413ca661a764d87af63ef10b49c7ddeb6bd7d771990c40e0c1646306adea",
+    ("dup", 1.0): "39b766ea5b3f84e8f1e72c9c581599dacda344d12266bde7b0ccacfe0d6c7744",
+}
+MT19937_DIGEST = "781c20bd583df4b479046a7f038f8ec7803e37cb8b64fbb7005d7af57277a12f"
 
 
 @pytest.fixture
@@ -540,6 +568,109 @@ class TestRejectionCap:
             sampling.fast_reg_vol_sample(X, SamplerConfig(s=3, algorithm="fastregvol"), rng)
         assert rng.calls == {"integers": sampling.REJECTION_CAP,
                              "random": sampling.REJECTION_CAP}
+
+
+def _pcg64(state):
+    """A PCG64 Generator set to ``state``."""
+    bitgen = np.random.PCG64()
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+class _ScalarCountingRng(_CountingRng):
+    """A _CountingRng that shows its PCG64 bit generator, so _proposals
+    decodes raw output and the counts are its scalar fallbacks."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.bit_generator = rng.bit_generator
+
+
+class TestProposalReplay:
+    """The rejection phase reads its (integers(k), random()) pairs from raw
+    PCG64 output (``_proposals``); pairs, samples and the generator state
+    equal those of the scalar calls."""
+
+    PAIRS = 40
+
+    @pytest.mark.parametrize("buffered", [0, 1])
+    @pytest.mark.parametrize("k", [1, 2, 7, 10**5, 2**31 + 1, 3 * 10**9, 2**32 - 1])
+    def test_pairs_and_state_equal_scalar_calls(self, k, buffered, monkeypatch):
+        # blocks of up to 19 proposals: block ends at both buffer states
+        monkeypatch.setattr(sampling, "REPLAY_MIN", 1)
+        cutoff = max(k - 16, 1) if k > 1 else 0  # k = 1 reads no word: scalar calls
+        start = np.random.default_rng(k)
+        if buffered:
+            start.integers(5)
+        start = start.bit_generator.state
+        assert start["has_uint32"] == buffered
+        scalar = _pcg64(start)
+        want, states = [], [scalar.bit_generator.state]
+        for _ in range(self.PAIRS):
+            want.append((scalar.integers(k), scalar.random()))
+            states.append(scalar.bit_generator.state)
+        for j in range(self.PAIRS + 1):
+            rng = _ScalarCountingRng(_pcg64(start))
+            source = sampling._proposals(rng, cutoff)
+            next(source)
+            got = [source.send(k) for _ in range(j)]
+            source.close()
+            assert got == want[:j]
+            assert rng.bit_generator.state == states[j]
+        calls = rng.calls["integers"]
+        assert calls == rng.calls["random"]
+        if k == 1:
+            assert calls == self.PAIRS
+        elif k == 2**31 + 1:  # a redraw at about every other word
+            assert 0 < calls < self.PAIRS
+        elif k <= 10**5:
+            assert calls == 0
+
+    @pytest.mark.parametrize("design", sorted(LARGE_X))
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_draws_equal_scalar_call_draws(self, design, lam):
+        cfg = SamplerConfig(s=LARGE_S, lam=lam, algorithm="fastregvol")
+        for seed in range(3):
+            replayed = np.random.default_rng(seed)
+            scalar = _CountingRng(np.random.default_rng(seed))  # no bit_generator
+            assert (sampling.sample(LARGE_X[design], cfg, replayed)
+                    == sampling.sample(LARGE_X[design], cfg, scalar))
+            assert replayed.bit_generator.state == scalar.rng.bit_generator.state
+
+    @pytest.mark.parametrize("design,lam", list(FOLLOW_DIGESTS))
+    def test_caller_stream_pinned(self, design, lam):
+        follow = []
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            cfg = SamplerConfig(s=LARGE_S, lam=lam, seed=seed, algorithm="fastregvol")
+            sampling.sample(LARGE_X[design], cfg, rng)
+            follow.append(rng.random())
+        text = repr(follow)
+        assert hashlib.sha256(text.encode()).hexdigest() == FOLLOW_DIGESTS[design, lam]
+
+    def test_other_bit_generator_pinned(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        smp = sampling.sample(LARGE_X["gauss"], SamplerConfig(s=LARGE_S, algorithm="fastregvol"),
+                              rng)
+        text = repr((smp.indices, smp.removal_order, smp.rejection_trials, rng.random()))
+        assert hashlib.sha256(text.encode()).hexdigest() == MT19937_DIGEST
+
+    def test_collapsed_weights_leave_the_scalar_state(self, monkeypatch):
+        # as TestRejectionCap, with n - 2d above REPLAY_MIN and a PCG64 generator
+        monkeypatch.setattr(linalg, "quad_forms", lambda rows, Z: np.ones(len(rows)))
+        n = 1200
+        X = fixtures.gaussian_matrix(n, 3, seed=4)
+        rng = np.random.default_rng(0)
+        # ``raised`` holds the traceback and so the phase's frame: the state
+        # must be set before the exception leaves the phase
+        with pytest.raises(AllWeightsZero) as raised:
+            sampling.fast_reg_vol_sample(X, SamplerConfig(s=3, algorithm="fastregvol"), rng)
+        scalar = np.random.default_rng(0)
+        for _ in range(sampling.REJECTION_CAP):
+            scalar.integers(n)
+            scalar.random()
+        assert rng.bit_generator.state == scalar.bit_generator.state
+        assert f"with {n} rows left" in str(raised.value)
 
 
 class TestDeferredBracket:
