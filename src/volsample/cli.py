@@ -27,8 +27,10 @@ import numpy as np
 
 from . import fixtures, linalg, oracle, regression, sampling
 from .datasets import parse_dataset
-from .errors import InvalidConfig, VolsampleError
+from .errors import InvalidConfig, TooLarge, VolsampleError
 
+# the samplers that the d_lambda warning (a volume-sampling bound) concerns
+VOLUME_SAMPLERS = ("regvol", "fastregvol")
 EQUALITY_IDENTITIES = ("PSEUDOINV_UNBIASED", "COV_INVERSE", "FROBENIUS",
                        "COVARIANCE", "MARGINALS", "COMPOSITION", "CAUCHY_BINET")
 # pass thresholds of the ``verify`` suites
@@ -54,35 +56,25 @@ def _parse(text: str, convert, name: str):
         raise InvalidConfig(f"{name}: cannot parse {text!r}") from None
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+def _numpy_to_json(obj):
+    """The ``json`` default hook: numpy arrays and scalars as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, args) -> None:
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True)
+def _write_json(obj, args) -> str:
+    """``obj`` as indented JSON with sorted keys, also written to ``--json``."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_numpy_to_json)
     if getattr(args, "json", None):
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
+    return text
 
 
 def _args_echo(args) -> dict:
     skip = {"func", "json"}
     return {k: v for k, v in vars(args).items() if k not in skip}
-
-
-def _load_problem(args) -> regression.RegressionProblem:
-    ds = parse_dataset(args.input, args.format)
-    return ds.problem
 
 
 def _draw(X, cfg: sampling.SamplerConfig, rng=None, dist=None) -> sampling.SubsetSample:
@@ -107,10 +99,10 @@ def _dlambda_warning(X, s: int, lam: float) -> list[str]:
 def cmd_sample(args) -> dict:
     sampling.check_lam(args.lam)
     t0 = time.perf_counter()
-    p = _load_problem(args)
+    p = parse_dataset(args.input, args.format).problem
     t1 = time.perf_counter()
-    warnings = ([] if args.algorithm == "oracle"
-                else _dlambda_warning(p.X, args.size, args.lam))
+    warnings = (_dlambda_warning(p.X, args.size, args.lam)
+                if args.algorithm in VOLUME_SAMPLERS else [])
     cfg = sampling.SamplerConfig(s=args.size, lam=args.lam, seed=args.seed,
                                  algorithm=args.algorithm)
     smp = _draw(p.X, cfg)
@@ -154,7 +146,7 @@ def cmd_regress(args) -> dict:
     if args.size < 1:
         raise InvalidConfig(f"--size must be at least 1, got {args.size}")
     t0 = time.perf_counter()
-    p = _load_problem(args)
+    p = parse_dataset(args.input, args.format).problem
     t1 = time.perf_counter()
     algorithms = args.algorithm.split(",")
     lams = ([_parse(v, float, "--lambda-grid") for v in args.lambda_grid.split(",")]
@@ -166,13 +158,12 @@ def cmd_regress(args) -> dict:
             raise InvalidConfig(f"unknown algorithm {alg!r}")
     k = args.replicates
     children = np.random.SeedSequence(args.seed).spawn(k)
-    volume = ("regvol", "fastregvol")
-    # the d_lambda warning concerns the volume samplers only: one per lambda
+    # one d_lambda warning per lambda
     dl_warnings = ({lam: _dlambda_warning(p.X, args.size, lam) for lam in lams}
-                   if set(volume) & set(algorithms) else {})
+                   if set(VOLUME_SAMPLERS) & set(algorithms) else {})
     # leverage draws cost too little to pay for a worker: only the volume
     # draws count towards the switch
-    draws = sum(alg in volume for alg in algorithms) * len(lams) * k
+    draws = sum(alg in VOLUME_SAMPLERS for alg in algorithms) * len(lams) * k
     parallel = (oracle._cpu_count() > 1 and draws >= 2
                 and p.n * draws >= PARALLEL_MIN_ROW_DRAWS)
     jobs = ([(sampling.sample, p.X,
@@ -187,12 +178,12 @@ def cmd_regress(args) -> dict:
         for alg in algorithms:
             per_lam = {}
             for lam in lams:
-                if alg in volume:
+                if alg in VOLUME_SAMPLERS:
                     warnings += [f"[{alg} lambda={lam}] {w}" for w in dl_warnings[lam]]
                 cfg = sampling.SamplerConfig(s=args.size, lam=lam, algorithm=alg)
                 # the exact law depends on (X, s, lam) only: one per replicate set
                 dist = oracle.exact_distribution(p.X, args.size, lam) if alg == "oracle" else None
-                losses = []
+                estimators = []
                 samples = []
                 for child in children:
                     if parallel and alg != "oracle":
@@ -200,19 +191,23 @@ def cmd_regress(args) -> dict:
                     else:
                         smp = _draw(p.X, cfg, np.random.default_rng(child), dist)
                     samples.append(smp)
-                    est = regression.solve_subproblem(p, smp, lam)
-                    losses.append(regression.total_loss(p, est))
-                losses = np.asarray(losses)
-                se = float(losses.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
-                entry = {
-                    "replicates": k,
-                    "mean_total_loss": float(losses.mean()),
-                    "se_total_loss": se,
-                    "mean_loss_per_row": float(losses.mean() / p.n),
-                }
+                    estimators.append(regression.solve_subproblem(p, smp, lam))
                 if args.average:
                     avg = regression.averaged_estimator(p, samples, lam)
-                    entry["averaged_total_loss"] = regression.total_loss(p, avg)
+                # a loss past the float64 range is refused below, unwarned
+                with np.errstate(over="ignore", invalid="ignore"):
+                    losses = np.array([regression.total_loss(p, e) for e in estimators])
+                    se = float(losses.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+                    entry = {
+                        "replicates": k,
+                        "mean_total_loss": float(losses.mean()),
+                        "se_total_loss": se,
+                        "mean_loss_per_row": float(losses.mean() / p.n),
+                    }
+                    if args.average:
+                        entry["averaged_total_loss"] = regression.total_loss(p, avg)
+                if not all(map(math.isfinite, entry.values())):
+                    raise TooLarge(f"[{alg} lambda={lam}] the total loss overflows float64")
                 per_lam[str(lam)] = entry
             results[alg] = per_lam
     t2 = time.perf_counter()
@@ -492,14 +487,9 @@ def main(argv=None) -> int:
         sampling.check_seed(args.seed)
         report = args.func(args)
     except VolsampleError as exc:
-        err = {"error": {"code": exc.code, "message": str(exc)}}
-        print(json.dumps(err, indent=2, sort_keys=True))
-        if getattr(args, "json", None):
-            with open(args.json, "w") as fh:
-                json.dump(err, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        print(_write_json({"error": {"code": exc.code, "message": str(exc)}}, args))
         return 2
-    _emit(report, args)
+    _write_json(report, args)
     return 0
 
 

@@ -28,8 +28,6 @@ FORMATS = ("csv", "libsvm")
 @dataclass(frozen=True)
 class Dataset:
     problem: RegressionProblem
-    source: str
-    format: str
     feature_count: int
     row_count: int
 
@@ -89,7 +87,7 @@ def _parse_csv_lines(lines) -> np.ndarray:
     return np.asarray(rows)
 
 
-def parse_csv_text(text: str, source: str = "<string>") -> Dataset:
+def parse_csv_text(text: str) -> Dataset:
     lines = text.splitlines()
     head = next(_numbered(lines), None)
     if head is None:
@@ -109,11 +107,11 @@ def parse_csv_text(text: str, source: str = "<string>") -> Dataset:
         arr = _parse_csv_lines(_numbered(body, start=skip + 1))
     _reject_non_finite(arr, text, int(header))
     problem = RegressionProblem(X=arr[:, :-1], y=arr[:, -1])
-    return Dataset(problem=problem, source=source, format="csv",
-                   feature_count=arr.shape[1] - 1, row_count=arr.shape[0])
+    return Dataset(problem=problem, feature_count=arr.shape[1] - 1,
+                   row_count=arr.shape[0])
 
 
-def parse_libsvm_text(text: str, source: str = "<string>") -> Dataset:
+def parse_libsvm_text(text: str) -> Dataset:
     labels = []
     entries = []  # per-row {0-based col: value}
     max_col = 0
@@ -153,8 +151,7 @@ def parse_libsvm_text(text: str, source: str = "<string>") -> Dataset:
     y = np.asarray(labels)
     _reject_non_finite(np.column_stack([X, y]), text, 0)
     problem = RegressionProblem(X=X, y=y)
-    return Dataset(problem=problem, source=source, format="libsvm",
-                   feature_count=max_col, row_count=len(entries))
+    return Dataset(problem=problem, feature_count=max_col, row_count=len(entries))
 
 
 def parse_dataset(path, format: str) -> Dataset:
@@ -166,6 +163,6 @@ def parse_dataset(path, format: str) -> Dataset:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     if format == "csv":
-        return parse_csv_text(text, source=str(path))
-    return parse_libsvm_text(text, source=str(path))
+        return parse_csv_text(text)
+    return parse_libsvm_text(text)
 

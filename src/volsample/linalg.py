@@ -46,19 +46,24 @@ def as_vector(x) -> np.ndarray:
 def gram(X, lam: float = 0.0) -> np.ndarray:
     """Return X'X + lam*I, symmetrized after accumulation.
 
-    Raises TooLarge when numpy cannot allocate the d x d result.
+    Raises TooLarge when numpy cannot allocate the d x d result or an
+    entry overflows float64.
     """
     X = as_matrix(X)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    try:
-        G = X.T @ X
-    except MemoryError as exc:
-        d = X.shape[1]
-        raise TooLarge(f"cannot allocate the {d} x {d} Gram matrix") from exc
-    G = 0.5 * (G + G.T)
-    if lam > 0:
-        G = G + lam * np.eye(X.shape[1])
+    d = X.shape[1]
+    # an overflow is refused below, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            G = X.T @ X
+        except MemoryError as exc:
+            raise TooLarge(f"cannot allocate the {d} x {d} Gram matrix") from exc
+        G = 0.5 * (G + G.T)
+        if lam > 0:
+            G = G + lam * np.eye(d)
+    if not np.isfinite(G).all():
+        raise TooLarge(f"the {d} x {d} Gram matrix overflows float64")
     return G
 
 
@@ -74,7 +79,8 @@ def chol_factor(A) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
     pivots = np.diag(L) ** 2
-    if np.min(pivots) <= PD_PIVOT_RTOL * np.max(np.diag(A)):
+    # false for a nan pivot too
+    if not np.min(pivots) > PD_PIVOT_RTOL * np.max(np.diag(A)):
         raise NotPositiveDefinite(
             f"Cholesky pivot {np.min(pivots):.3e} below tolerance"
         )

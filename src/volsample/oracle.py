@@ -34,6 +34,7 @@ from scipy.special import logsumexp
 
 from . import linalg, regression, sampling
 from .errors import (
+    InvalidConfig,
     NotPositiveDefinite,
     TooLarge,
     UnsupportedCombination,
@@ -528,6 +529,8 @@ def empirical_distribution_test(X, cfg: sampling.SamplerConfig,
     leverage draw reads the row probabilities computed here for the
     comparison.
     """
+    if draws < 1:
+        raise InvalidConfig(f"need at least one draw, got {draws}")
     X = linalg.as_matrix(X)
     n, d = X.shape
 

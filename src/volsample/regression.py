@@ -44,7 +44,6 @@ class RegressionProblem:
 class Estimator:
     w: np.ndarray
     lam: float
-    subset: Optional[SubsetSample] = None
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,7 @@ def solve_subproblem(p: RegressionProblem, subset, lam: float = 0.0) -> Estimato
         raise RankDeficientSubset(
             f"subset of {Xs.shape[0]} rows is rank deficient at lam={lam}"
         ) from exc
-    return Estimator(w=w, lam=lam,
-                     subset=subset if isinstance(subset, SubsetSample) else None)
+    return Estimator(w=w, lam=lam)
 
 
 def solve_full(p: RegressionProblem, lam: float = 0.0) -> Estimator:

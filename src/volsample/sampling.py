@@ -156,15 +156,17 @@ class DowndateState:
     those rows, packed in a column-major (Fortran-order) array: the weight
     update's product ``rows[:size] @ v`` then runs as a column-major
     matrix-vector product, which is faster at small d than a row-major
-    one.  The row swaps, the packing (``take`` into the strided prefix)
+    one.  The row moves, the packing (``take`` into the strided prefix)
     and the rebuilds work on that prefix as on any other array; ``copy``
     keeps the layout.  ``G`` is the regularized Gram matrix of the active
     rows at the last rebuild (init, refresh or resync), ``Z`` the inverse
     of the current one, and ``h[:size]`` the removal weights, aligned with
-    ``active``.  Each removal downdates Z and h; they are rebuilt from
-    scratch after ``refresh_every`` downdates, and each refresh sets the
-    next interval from the drift it measured.  While ``deferred`` is set
-    (the fast sampler's rejection phase) a removal only swaps ``active``
+    ``active``.  Only ``active`` keeps the removed rows past the prefix,
+    newest first; ``rows`` and ``h`` hold stale entries there.  Each
+    removal downdates Z and h; they are rebuilt from scratch after
+    ``refresh_every`` downdates, and each refresh sets the next interval
+    from the drift it measured.  While ``deferred`` is set
+    (the fast sampler's rejection phase) a removal only moves ``active``
     and ``h`` entries: G, Z, h and ``rows`` still describe the rows active
     at the last rebuild, and rows are read from ``X`` until a resync
     packs them again.
@@ -274,20 +276,20 @@ def _refresh(state: DowndateState) -> float:
 
 
 def _swap_out(state: DowndateState, pos: int) -> int:
-    """Move the active row at ``pos`` past the end of the prefix."""
+    """Shrink the prefix by the active row at ``pos``; returns its row index.
+
+    The prefix's last row fills the hole at ``pos``.  Only ``active``
+    keeps the removed row, at the new ``size``; ``rows`` and ``h`` past
+    the prefix are stale.
+    """
     k = state.size - 1
     act = state.active
     i = int(act[pos])
-    if pos != k:
-        act[pos] = act[k]
-        act[k] = i
-        if not state.deferred:
-            rows = state.rows
-            x_i = rows[pos].copy()
-            rows[pos] = rows[k]
-            rows[k] = x_i
-        h = state.h
-        h[pos], h[k] = h[k], h[pos]
+    act[pos] = act[k]
+    act[k] = i
+    if not state.deferred:
+        state.rows[pos] = state.rows[k]
+    state.h[pos] = state.h[k]
     state.size = k
     return i
 
@@ -389,7 +391,7 @@ class _RemovedBlock:
 
     def __init__(self, state: DowndateState):
         self.synced = self.folded = state.size
-        self.BtB = None
+        self.BtB = np.zeros_like(state.G)
         self.mu = 0.0
 
     def _fold(self, state: DowndateState) -> None:
@@ -398,7 +400,7 @@ class _RemovedBlock:
         if self.folded == k:
             return
         B = state.X[state.active[k:self.folded]]
-        self.BtB = B.T @ B if self.BtB is None else self.BtB + B.T @ B
+        self.BtB += B.T @ B
         self.folded = k
 
     def tighten(self, state: DowndateState) -> None:
@@ -418,7 +420,7 @@ class _RemovedBlock:
         proposal but those of the phase's last removal.
         """
         self._fold(state)
-        G = state.G if self.BtB is None else state.G - self.BtB
+        G = state.G - self.BtB
         x = state.X[state.active[pos]]
         # Cholesky factor and solve in one LAPACK call; a matrix it finds
         # not positive definite leaves the row no volume to remove
@@ -632,7 +634,7 @@ def _volume_sample(X, cfg: SamplerConfig, rng: Optional[np.random.Generator],
         s=cfg.s,
         algorithm=algorithm,
         rejection_trials=trials,
-        # _swap_out leaves the removed rows past the prefix, newest first
+        # active keeps the removed rows past the prefix, newest first
         removal_order=tuple(state.active[cfg.s:start][::-1].tolist()),
     )
 

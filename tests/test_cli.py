@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import json
 import multiprocessing
@@ -295,6 +296,51 @@ def test_collapsed_weights_are_json_error(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "all_weights_zero"
 
 
+def _overflow_csv(path, n, seed, row, col):
+    """An n x 3 Gaussian design and response, headerless, with one entry
+    (column 3 is the response) set to 1e200."""
+    data = np.random.default_rng(seed).standard_normal((n, 4))
+    data[row, col] = 1e200
+    np.savetxt(path, data, delimiter=",")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    "sample --algorithm regvol --size 4",
+    "sample --algorithm leverage --size 4",
+    "sample --algorithm fastregvol --size 4",
+    "regress --algorithm fastregvol --lambda 0.5 --size 4",
+])
+def test_gram_overflow_is_json_error(tmp_path, capfd, argv):
+    path = _overflow_csv(tmp_path / "big.csv", 50, 0, row=3, col=1)
+    command, *flags = argv.split()
+    rc = main([command, "--input", path, *flags])
+    out, err = capfd.readouterr()
+    assert rc == 2 and "Traceback" not in err
+    assert json.loads(out)["error"]["code"] == "too_large"
+
+
+def test_loss_overflow_is_json_error(tmp_path, capfd):
+    # y[5] = 1e200: every total loss overflows, and no report holds Infinity
+    path = _overflow_csv(tmp_path / "big.csv", 60, 1, row=5, col=3)
+    report = tmp_path / "r.json"
+    rc = main(["regress", "--input", path, "--algorithm", "regvol", "--size", "4",
+               "--replicates", "3", "--average", "--json", str(report)])
+    out, err = capfd.readouterr()
+    assert rc == 2 and err == ""
+    assert json.loads(out)["error"]["code"] == "too_large"
+    assert json.loads(report.read_text())["error"]["code"] == "too_large"
+
+
+def test_json_numpy_values(tmp_path):
+    args = argparse.Namespace(json=str(tmp_path / "r.json"))
+    text = cli._write_json({"b": np.arange(2), "a": (np.float64(0.1), np.int64(3))}, args)
+    assert text == json.dumps({"a": [0.1, 3], "b": [0, 1]}, indent=2, sort_keys=True)
+    assert (tmp_path / "r.json").read_text() == text + "\n"
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        cli._write_json({"a": object()}, argparse.Namespace())
+
+
 def _load_report(path):
     with open(path) as fh:
         return json.load(fh)
@@ -370,6 +416,15 @@ class TestSampleCommand:
                    "--lambda", "0.01", "--seed", "0"])
         assert rc == 0
         assert "d_lambda" in capsys.readouterr().err
+
+    def test_no_dlambda_warning_for_leverage(self, degenerate_csv, capsys, tmp_path):
+        # the bound is a volume-sampling result, as in regress
+        out = str(tmp_path / "s.json")
+        rc = main(["sample", "--input", degenerate_csv, "--size", "1", "--lambda",
+                   "0.01", "--algorithm", "leverage", "--json", out])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert _load_report(out)["warnings"] == []
 
 
 class TestRegressCommand:

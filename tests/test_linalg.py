@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volsample import linalg
-from volsample.errors import NotPositiveDefinite, SingularDowndate
+from volsample.errors import NotPositiveDefinite, SingularDowndate, TooLarge
 
 DEGENERATE_X = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
 
@@ -36,6 +36,13 @@ class TestGram:
         with pytest.raises(ValueError):
             linalg.gram(np.eye(2), -0.1)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_overflow_is_too_large(self, lam):
+        X = random_tall(50, 3, seed=2)
+        X[3, 1] = 1e200
+        with pytest.raises(TooLarge, match="overflows float64"):
+            linalg.gram(X, lam)
+
 
 class TestCholLogdet:
     def test_identity(self):
@@ -52,6 +59,11 @@ class TestCholLogdet:
     def test_singular_raises(self):
         with pytest.raises(NotPositiveDefinite):
             linalg.chol_logdet(np.array([[2.0, 2.0], [2.0, 2.0]]))
+
+    def test_nan_pivot_raises(self):
+        # LAPACK factors this one; its second pivot is nan
+        with pytest.raises(NotPositiveDefinite):
+            linalg.chol_factor(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_pivot_tolerance_is_scale_relative(self):
         # tiny but well-conditioned matrices must factor fine

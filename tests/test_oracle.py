@@ -265,6 +265,12 @@ class TestEmpirical:
                                                draws=oracle.PARALLEL_MIN_DRAWS)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("algorithm", sampling.ALGORITHMS)
+    def test_no_draws_is_invalid_config(self, gauss83, algorithm):
+        cfg = sampling.SamplerConfig(s=3, seed=1, algorithm=algorithm)
+        with pytest.raises(InvalidConfig, match="at least one draw"):
+            oracle.empirical_distribution_test(gauss83, cfg, draws=0)
+
 
 class TestOracleSample:
     def test_deterministic(self, gauss83):
